@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensorops as ops
 from . import wavelet
-from .pointcloud import RangeImage
+from .pointcloud import RangeImage, ScanParseError
 
 _CKPT_MAGIC = b"WLCK"
 _CKPT_VERSION = 1
@@ -36,6 +36,8 @@ class NetConfig:
             raise ValueError("base_channels must be >= 2")
         if self.n_contexts < 1:
             raise ValueError("n_contexts must be >= 1")
+        if self.attn_token_cap < 1:
+            raise ValueError("attn_token_cap must be >= 1")
 
 
 class Param:
@@ -160,6 +162,7 @@ class FeatureMix:
             raise ValueError("channel mixing with group size 2 needs even channels")
         self.c = channels
         self.cap = token_cap
+        self._keep_probs = True  # off while ResLPRNet.forward runs
         self.gconv = Conv2d(rng, channels, channels, k=3, groups=channels // 2,
                             name=f"{name}.gconv")
         self.norm = Norm(channels, axes=(0, 1), name=f"{name}.bn")
@@ -170,21 +173,19 @@ class FeatureMix:
         t = x.reshape(-1, c)
         stride = _pool_stride(t.shape[0], self.cap)
         tk = t[::stride]
-        logits, _ = ops.matmul(t, tk.T / math.sqrt(c))
-        p, pcache = ops.softmax(logits)
-        s = p @ tk
-        self._attn_cache = (t, tk, p, pcache, stride, (h, w, c))
+        # keys scaled before the product (TransformerFuse scales after it):
+        # the two orders round differently, and training amplifies that
+        s, acache = ops.attention(t, tk.T / math.sqrt(c), tk, 1.0,
+                                  keep=self._keep_probs)
+        self._attn_cache = (t, tk, acache, stride, (h, w, c))
         fs = s.reshape(h, w, c)
         out = self.fc.forward(self.norm.forward(self.gconv.forward(fs)))
         return out
 
     def backward(self, gy):
         gfs = self.gconv.backward(self.norm.backward(self.fc.backward(gy)))
-        t, tk, p, pcache, stride, (h, w, c) = self._attn_cache
-        gs = gfs.reshape(-1, c)
-        gtk = p.T @ gs
-        gp = gs @ tk.T
-        glog = ops.softmax_backward(pcache, gp)
+        t, tk, acache, stride, (h, w, c) = self._attn_cache
+        glog, gtk = ops.attention_backward(acache, gfs.reshape(-1, c))
         gt = glog @ tk / math.sqrt(c)
         gtk += glog.T @ t / math.sqrt(c)
         gt[::stride] += gtk
@@ -202,6 +203,7 @@ class TransformerFuse:
         c = channels
         self.c = c
         self.cap = token_cap
+        self._keep_probs = True  # off while ResLPRNet.forward runs
         self.wq = Linear(rng, c, c, name=f"{name}.wq")
         self.wk = Linear(rng, c, c, name=f"{name}.wk")
         self.wv = Linear(rng, c, c, name=f"{name}.wv")
@@ -218,25 +220,22 @@ class TransformerFuse:
         v = self.wv.forward(fc).reshape(-1, c)
         stride = _pool_stride(k.shape[0], self.cap)
         kp, vp = k[::stride], v[::stride]
-        logits = q @ kp.T / math.sqrt(c)
-        p, pcache = ops.softmax(logits)
-        attn = (p @ vp).reshape(h, w, c)
+        attn, acache = ops.attention(q, kp.T, vp, math.sqrt(c),
+                                     keep=self._keep_probs)
+        attn = attn.reshape(h, w, c)
         fatt = self.norm.forward(fw + attn)
         hmid = self.ff1.forward(fatt)
         hact, gcache = ops.gelu(hmid)
         out = fatt + self.ff2.forward(hact)
-        self._cache = (q, kp, vp, p, pcache, stride, gcache, (h, w, c))
+        self._cache = (q, kp, acache, stride, gcache, (h, w, c))
         return out
 
     def backward(self, gy):
-        q, kp, vp, p, pcache, stride, gcache, (h, w, c) = self._cache
+        q, kp, acache, stride, gcache, (h, w, c) = self._cache
         gfatt = gy + self.ff1.backward(ops.gelu_backward(gcache, self.ff2.backward(gy)))
         gsum = self.norm.backward(gfatt)
         gfw = gsum.copy()
-        gattn = gsum.reshape(-1, c)
-        gvp = p.T @ gattn
-        gp = gattn @ vp.T
-        glog = ops.softmax_backward(pcache, gp)
+        glog, gvp = ops.attention_backward(acache, gsum.reshape(-1, c))
         gq = glog @ kp / math.sqrt(c)
         gkp = glog.T @ q / math.sqrt(c)
         gk = np.zeros((h * w, c))
@@ -456,13 +455,26 @@ class ResLPRNet:
         return gimg
 
     def forward(self, img: RangeImage) -> RangeImage:
-        """Restore a range image; pads to /8-divisible extents and crops."""
+        """Restore a range image; pads to /8-divisible extents and crops.
+
+        For inference: the attention blocks keep no probabilities, so no
+        backward_input may follow. Training calls forward_array instead.
+        """
         arr = img.channels()
         h, w, _ = arr.shape
         ph, pw = (-h) % 8, (-w) % 8
         if ph or pw:
             arr = np.pad(arr, [(0, ph), (0, pw), (0, 0)], mode="reflect")
-        out = self.forward_array(arr)[:h, :w]
+        attention = [self.bottleneck]
+        for block in self.encoders + self.decoders:
+            attention += [block.mix, block.fuse]
+        for block in attention:
+            block._keep_probs = False
+        try:
+            out = self.forward_array(arr)[:h, :w]
+        finally:
+            for block in attention:
+                block._keep_probs = True
         dist, inten = out[..., 0], out[..., 1]
         # restoration can drop returns (floor) but never invent them: pixels
         # empty in the input stay empty
@@ -585,27 +597,39 @@ def save_checkpoint(net: ResLPRNet, path) -> None:
             fh.write(p.value.astype("<f4").tobytes())
 
 
+def _read_exact(fh, n: int, path) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise ScanParseError(f"{path}: checkpoint truncated at byte {fh.tell()}")
+    return data
+
+
 def load_checkpoint(path) -> ResLPRNet:
+    """Read a save_checkpoint file; a truncated or malformed one raises
+    pointcloud.ScanParseError."""
     with open(path, "rb") as fh:
         if fh.read(4) != _CKPT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        version, count = struct.unpack("<II", fh.read(8))
+            raise ScanParseError(f"{path}: not a checkpoint file")
+        version, count = struct.unpack("<II", _read_exact(fh, 8, path))
         if version != _CKPT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        base_c, n_ctx, cap = struct.unpack("<III", fh.read(12))
-        net = ResLPRNet(NetConfig(base_channels=base_c, n_contexts=n_ctx,
-                                  attn_token_cap=cap))
+            raise ScanParseError(f"{path}: unsupported checkpoint version {version}")
+        base_c, n_ctx, cap = struct.unpack("<III", _read_exact(fh, 12, path))
+        try:
+            config = NetConfig(base_channels=base_c, n_contexts=n_ctx,
+                               attn_token_cap=cap)
+        except ValueError as exc:
+            raise ScanParseError(f"{path}: {exc}") from exc
+        net = ResLPRNet(config)
         table = {p.name: p for p in net.params()}
         if len(table) != count:
-            raise ValueError(f"{path}: tensor count {count} != expected {len(table)}")
+            raise ScanParseError(f"{path}: tensor count {count} != expected {len(table)}")
         for _ in range(count):
-            (nlen,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(nlen).decode()
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-            data = np.frombuffer(fh.read(4 * int(np.prod(shape))),
-                                 dtype="<f4").reshape(shape).astype(float)
-            if name not in table or table[name].value.shape != tuple(shape):
-                raise ValueError(f"{path}: unexpected tensor {name} {shape}")
-            table[name].value[...] = data
+            (nlen,) = struct.unpack("<H", _read_exact(fh, 2, path))
+            name = _read_exact(fh, nlen, path).decode(errors="replace")
+            (ndim,) = struct.unpack("<B", _read_exact(fh, 1, path))
+            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, path))
+            if name not in table or table[name].value.shape != shape:
+                raise ScanParseError(f"{path}: unexpected tensor {name} {shape}")
+            data = _read_exact(fh, 4 * int(np.prod(shape)), path)
+            table[name].value[...] = np.frombuffer(data, dtype="<f4").reshape(shape)
     return net

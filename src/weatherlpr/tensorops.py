@@ -114,17 +114,6 @@ def conv_transpose2x2_backward(cache, gy: np.ndarray):
     return gx, gw, gb
 
 
-def matmul(a: np.ndarray, b: np.ndarray):
-    if a.shape[-1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    return a @ b, (a, b)
-
-
-def matmul_backward(cache, gy: np.ndarray):
-    a, b = cache
-    return gy @ b.T, a.T @ gy
-
-
 def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None):
     """Channel-wise affine map over the last axis. x: (..., cin), w: (cin, cout)."""
     if x.shape[-1] != w.shape[0]:
@@ -144,16 +133,61 @@ def linear_backward(cache, gy: np.ndarray):
 
 
 def softmax(x: np.ndarray):
-    """Softmax over the last axis; rows sum to one."""
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    y = e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis; rows sum to one. Leaves x unmodified and
+    allocates only the output."""
+    y = x - x.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
     return y, y
 
 
 def softmax_backward(cache, gy: np.ndarray):
     y = cache
-    return y * (gy - (gy * y).sum(axis=-1, keepdims=True))
+    gx = gy * y
+    s = gx.sum(axis=-1, keepdims=True)
+    np.subtract(gy, s, out=gx)
+    gx *= y
+    return gx
+
+
+ATTENTION_TILE = 1 << 18  # logits per query tile: 2 MB of float64, inside a 4 MB L2
+
+
+def attention(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
+              keep: bool = True):
+    """softmax((q @ kt) / scale) @ v, computed one tile of query rows at a time.
+
+    q: (n, d); kt: (d, m); v: (m, dv) -> (n, dv). Every row goes through the
+    same arithmetic as the one-shot expression, so only the peak memory
+    depends on the tiling. The cache holds the (n, m) probabilities when
+    ``keep`` is set, for ``attention_backward``; otherwise it is None.
+    """
+    if q.shape[1] != kt.shape[0] or kt.shape[1] != v.shape[0]:
+        raise ShapeError(f"attention got q {q.shape}, kt {kt.shape}, v {v.shape}")
+    n, m = q.shape[0], kt.shape[1]
+    rows = max(1, ATTENTION_TILE // m)
+    y = np.empty((n, v.shape[1]))
+    p = np.empty((n, m)) if keep else None
+    for i in range(0, n, rows):
+        logits = q[i:i + rows] @ kt
+        logits /= scale
+        pt, _ = softmax(logits)
+        np.matmul(pt, v, out=y[i:i + rows])
+        if keep:
+            p[i:i + rows] = pt
+    return y, ((p, v) if keep else None)
+
+
+def attention_backward(cache, gy: np.ndarray):
+    """Gradients with respect to the softmax input (the scaled logits) and v.
+
+    Callers apply the scale and the key/query products themselves."""
+    if cache is None:
+        raise RuntimeError("attention ran without keeping its probabilities; "
+                           "no backward can follow it")
+    p, v = cache
+    gv = p.T @ gy
+    return softmax_backward(p, gy @ v.T), gv
 
 
 def moment_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, axes):

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from weatherlpr import bench, cli
-from weatherlpr.pointcloud import ProjectionSpec, read_scan
+from weatherlpr import bench, cli, restorenet
+from weatherlpr.pointcloud import ProjectionSpec, ScanParseError, read_scan
 from weatherlpr.bench import make_synthetic_world, write_world
 
 PROJ_ARGS = ["--height", "32", "--width", "128"]
@@ -104,6 +104,40 @@ class TestIndexRetrieveEvaluate:
         row = metrics.score_records(records, "unknown", 0, "none")
         assert f"AUC={row.auc:.4f}" in cli_out
         assert f"R@5={row.r5:.4f}" in cli_out
+
+
+class TestRestore:
+    def test_truncated_checkpoint_is_data_error(self, world_dir, tmp_path):
+        ckpt = tmp_path / "net.ckpt"
+        restorenet.save_checkpoint(
+            restorenet.ResLPRNet(restorenet.NetConfig(base_channels=2)), ckpt)
+        blob = ckpt.read_bytes()
+        # layout: magic 4, header 20, then the first tensor's name length
+        # (2), name, rank (1), dims (4 each) and float32 data
+        nlen = int.from_bytes(blob[24:26], "little")
+        rank_at = 26 + nlen
+        dims_at = rank_at + 1
+        data_at = dims_at + 4 * blob[rank_at]
+        cuts = {"magic": 2, "header": 10, "name": 26 + nlen // 2,
+                "rank": rank_at, "dims": dims_at + 3, "data": data_at + 5,
+                "last tensor data": len(blob) - 1}
+
+        def restore(path):
+            return cli.main(["restore", "--ckpt", str(path),
+                             "--in", str(world_dir / "database"),
+                             "--out", str(tmp_path / "out"),
+                             "--height", "16", "--width", "32"])
+
+        assert restore(ckpt) == 0
+        for where, cut in cuts.items():
+            bad = tmp_path / f"cut{cut}.ckpt"
+            bad.write_bytes(blob[:cut])
+            with pytest.raises(ScanParseError):
+                restorenet.load_checkpoint(bad)
+            assert restore(bad) == cli.EXIT_DATA, where
+        zero_cap = tmp_path / "cap0.ckpt"  # header field attn_token_cap = 0
+        zero_cap.write_bytes(blob[:20] + bytes(4) + blob[24:])
+        assert restore(zero_cap) == cli.EXIT_DATA
 
 
 class TestBenchCommand:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,7 +83,7 @@ class TestBlocks:
         net = small_net()
         mix = net.encoders[0].mix
         mix.forward(rng.random((4, 6, 16)))
-        _, _, p, _, _, _ = mix._attn_cache
+        _, _, (p, _), _, _ = mix._attn_cache
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
     def test_feature_mix_single_token_identity_attention(self):
@@ -90,9 +91,9 @@ class TestBlocks:
         net = small_net()
         mix = net.encoders[0].mix
         mix.forward(rng.random((1, 1, 16)))
-        t, tk, p, _, _, _ = mix._attn_cache
+        t, _, (p, v), _, _ = mix._attn_cache
         np.testing.assert_allclose(p, 1.0, atol=1e-15)
-        np.testing.assert_allclose(p @ tk, t, atol=1e-12)
+        np.testing.assert_allclose(p @ v, t, atol=1e-12)
 
     def test_fuse_constant_context_gives_constant_attention(self):
         rng = np.random.default_rng(6)
@@ -101,7 +102,7 @@ class TestBlocks:
         fw = rng.random((4, 6, 16))
         fc = np.broadcast_to(rng.random(16), (4, 6, 16)).copy()
         fuse.forward(fw, fc)
-        _, _, vp, p, _, _, _, _ = fuse._cache
+        _, _, (p, vp), _, _, _ = fuse._cache
         attn = p @ vp
         np.testing.assert_allclose(attn, np.broadcast_to(attn[0], attn.shape),
                                    atol=1e-12)
@@ -142,30 +143,32 @@ class TestBlocks:
         assert R._pool_stride(2048, 512) == 4
 
 
+def check_input_gradient(net, img, proj, rng, samples=12):
+    """backward_input after forward_array against sampled central differences."""
+    def f(v):
+        return float(np.sum(net.forward_array(v) * proj))
+
+    f(img)
+    net.zero_grad()
+    gimg = net.backward_input(proj)
+    for fi in rng.integers(img.size, size=samples):
+        idx = np.unravel_index(int(fi), img.shape)
+        orig = img[idx]
+        step = 1e-4
+        img[idx] = orig + step
+        up = f(img)
+        img[idx] = orig - step
+        dn = f(img)
+        img[idx] = orig
+        num = (up - dn) / (2 * step)
+        assert abs(gimg[idx] - num) < 1e-4 * max(1.0, abs(num))
+
+
 class TestGradients:
     def test_full_net_input_gradient_sampled(self):
         rng = np.random.default_rng(9)
-        net = small_net(c=4, cap=64)
-        img = rand_img(rng, 16, 24)
-        proj = rng.normal(size=(16, 24, 2))
-
-        def f(v):
-            return float(np.sum(net.forward_array(v) * proj))
-
-        f(img)
-        net.zero_grad()
-        gimg = net.backward_input(proj)
-        for fi in rng.integers(img.size, size=12):
-            idx = np.unravel_index(int(fi), img.shape)
-            orig = img[idx]
-            step = 1e-4
-            img[idx] = orig + step
-            up = f(img)
-            img[idx] = orig - step
-            dn = f(img)
-            img[idx] = orig
-            num = (up - dn) / (2 * step)
-            assert abs(gimg[idx] - num) < 1e-4 * max(1.0, abs(num))
+        check_input_gradient(small_net(c=4, cap=64), rand_img(rng, 16, 24),
+                             rng.normal(size=(16, 24, 2)), rng)
 
     def test_random_parameter_gradients(self):
         rng = np.random.default_rng(10)
@@ -211,6 +214,28 @@ class TestForward:
         assert out.dist.shape == (10, 30)
         assert np.all(out.dist[out.mask] >= R.RESTORED_MASK_FLOOR)
         assert np.all(out.dist[~out.mask] == 0.0)
+
+    def test_inference_memory_bounded_at_default_projection(self):
+        # forward keeps no attention probabilities; when every block kept
+        # them, one 64x1920 restoration peaked at about 2.97 GB
+        rng = np.random.default_rng(19)
+        net = R.ResLPRNet(R.NetConfig(seed=0))
+        w = net.outconv.w.value
+        w[...] = rng.normal(0.0, 0.05, w.shape)  # every block reaches the output
+        spec = ProjectionSpec()
+        shape = (spec.height, spec.width)
+        img = RangeImage(dist=rng.random(shape), inten=rng.random(shape),
+                         mask=np.ones(shape, dtype=bool), spec=spec)
+        tracemalloc.start()
+        try:
+            net.forward(img)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**30, f"peak {peak / 2**20:.0f} MB"
+        # forward_array still keeps what backward_input needs
+        check_input_gradient(net, rng.uniform(0.3, 0.7, (16, 16, 2)),
+                             rng.normal(size=(16, 16, 2)), rng, samples=6)
 
 
 class TestLoss:

@@ -98,6 +98,59 @@ class TestPointwise:
         check(gx, lambda v: np.sum(T.gap(v)[0] * proj), x)
 
 
+class TestSoftmaxInPlace:
+    def test_inputs_unmodified(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(4, 7))
+        gy = rng.normal(size=(4, 7))
+        x0, gy0 = x.copy(), gy.copy()
+        y, cache = T.softmax(x)
+        y0 = y.copy()
+        T.softmax_backward(cache, gy)
+        np.testing.assert_array_equal(x, x0)
+        np.testing.assert_array_equal(gy, gy0)
+        np.testing.assert_array_equal(y, y0)
+
+
+class TestAttention:
+    @pytest.mark.parametrize("prescaled", [True, False])
+    def test_tiled_bit_equal_to_one_shot(self, prescaled):
+        # 512 keys -> 512 query rows per tile: three full tiles and a ragged one
+        rng = np.random.default_rng(13)
+        n, d, m = 3 * 512 + 200, 32, 512
+        assert T.ATTENTION_TILE // m == 512
+        q = rng.normal(size=(n, d))
+        k = rng.normal(size=(m, d))
+        v = rng.normal(size=(m, d))
+        kt, scale = (k.T / np.sqrt(d), 1.0) if prescaled else (k.T, np.sqrt(d))
+        p_ref, _ = T.softmax((q @ kt) / scale)
+        y, (p, _) = T.attention(q, kt, v, scale)
+        np.testing.assert_array_equal(y, p_ref @ v)
+        np.testing.assert_array_equal(p, p_ref)
+        y_infer, cache = T.attention(q, kt, v, scale, keep=False)
+        np.testing.assert_array_equal(y_infer, y)
+        assert cache is None
+
+    def test_gradcheck_q_k_v(self):
+        rng = np.random.default_rng(14)
+        q = rng.normal(size=(5, 3))
+        k = rng.normal(size=(4, 3))
+        v = rng.normal(size=(4, 2))
+        scale = np.sqrt(3.0)
+        proj = rng.normal(size=(5, 2))
+        _, cache = T.attention(q, k.T, v, scale)
+        glog, gv = T.attention_backward(cache, proj)
+        check(glog @ k / scale, lambda x: np.sum(T.attention(x, k.T, v, scale)[0] * proj), q)
+        check(glog.T @ q / scale, lambda x: np.sum(T.attention(q, x.T, v, scale)[0] * proj), k)
+        check(gv, lambda x: np.sum(T.attention(q, k.T, x, scale)[0] * proj), v)
+
+    def test_backward_needs_kept_probabilities(self):
+        _, cache = T.attention(np.ones((2, 3)), np.ones((3, 4)), np.ones((4, 2)), 1.0,
+                               keep=False)
+        with pytest.raises(RuntimeError):
+            T.attention_backward(cache, np.ones((2, 2)))
+
+
 class TestNorm:
     def test_layer_norm_moments(self):
         rng = np.random.default_rng(3)
