@@ -11,8 +11,9 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import lpr, metrics, weathersim
-from .pointcloud import PointCloud, ProjectionSpec, back_project, project, write_scan
-from .restorenet import ResLPRNet
+from .pointcloud import (PointCloud, ProjectionSpec, ScanParseError, back_project,
+                         project, write_scan)
+from .restorenet import ResLPRNet, load_checkpoint
 
 QUERY_ID_BASE = 100000
 
@@ -66,25 +67,35 @@ def load_manifest(path) -> Manifest:
     def _abs(p):
         return p if os.path.isabs(p) else os.path.join(base, p)
 
-    m = Manifest(
-        name=raw.get("name", "unnamed"),
-        database_scans=tuple(_abs(p) for p in raw["database"]["scans"]),
-        query_scans=tuple(_abs(p) for p in raw["queries"]["scans"]),
-        database_poses=_abs(raw["database"]["poses"]),
-        query_poses=_abs(raw["queries"]["poses"]),
-        train_pairs=tuple((_abs(a), _abs(b)) for a, b in raw.get("train_pairs", ())),
-    )
+    try:
+        m = Manifest(
+            name=raw.get("name", "unnamed"),
+            database_scans=tuple(_abs(p) for p in raw["database"]["scans"]),
+            query_scans=tuple(_abs(p) for p in raw["queries"]["scans"]),
+            database_poses=_abs(raw["database"]["poses"]),
+            query_poses=_abs(raw["queries"]["poses"]),
+            train_pairs=tuple((_abs(a), _abs(b)) for a, b in raw.get("train_pairs", ())),
+        )
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ConfigError(f"malformed manifest {path}: {exc!r}") from exc
     m.validate()
     return m
 
 
 def read_pose_file(path) -> dict:
+    """{scan_id: (x, y)} from "<scan_id> <x> <y>" lines; a malformed line
+    raises pointcloud.ScanParseError."""
     poses = {}
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             parts = line.split()
-            if parts:
+            if not parts:
+                continue
+            try:
                 poses[int(parts[0])] = (float(parts[1]), float(parts[2]))
+            except (IndexError, ValueError) as exc:
+                raise ScanParseError(
+                    f"{path}:{lineno}: bad pose line {line.strip()!r}") from exc
     return poses
 
 
@@ -100,7 +111,6 @@ class RunConfig:
     levels: tuple = weathersim.SEVERITY_LEVELS
     preprocessing: str = "none"           # none | restorenet
     checkpoint: str | None = None
-    lpr_method: str = "scan_context"
     protocol: str = "kitti"               # kitti | nclt
     pos_radius: float = metrics.DEFAULT_POS_RADIUS
     top_n: int = 20
@@ -117,8 +127,6 @@ class RunConfig:
     def __post_init__(self):
         if self.preprocessing not in ("none", "restorenet"):
             raise ConfigError(f"unknown preprocessing: {self.preprocessing}")
-        if self.lpr_method != "scan_context":
-            raise ConfigError(f"unknown LPR method: {self.lpr_method}")
         if self.protocol not in ("kitti", "nclt"):
             raise ConfigError(f"unknown protocol: {self.protocol}")
 
@@ -309,16 +317,9 @@ def _config_echo(config: RunConfig) -> dict:
     echo = asdict(config)
     # the report must not depend on where it is written
     echo.pop("out_dir", None)
-    echo["projection"] = {
-        "height": config.projection.height, "width": config.projection.width,
-        "fov_up": config.projection.fov_up, "fov_down": config.projection.fov_down,
-        "max_range": config.projection.max_range,
-    }
     echo["param_overrides"] = sorted(
         f"{kind}:{level}" for kind, levels in config.param_overrides.items()
         for level in levels)
-    echo["kinds"] = list(config.kinds)
-    echo["levels"] = list(config.levels)
     return echo
 
 
@@ -330,7 +331,6 @@ def run_benchmark(database_entries, query_entries, config: RunConfig,
     if config.preprocessing == "restorenet" and net is None:
         if not config.checkpoint:
             raise ConfigError("restorenet preprocessing needs a checkpoint or net")
-        from .restorenet import load_checkpoint
         net = load_checkpoint(config.checkpoint)
     use_net = net if config.preprocessing == "restorenet" else None
     method = config.preprocessing

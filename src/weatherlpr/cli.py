@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import bench, lpr, metrics, weathersim
-from .bench import ConfigError, Manifest, RunConfig
+from .bench import ConfigError, RunConfig
 from .pointcloud import (ProjectionSpec, RangeImage, ScanParseError,
                          back_project, project, read_scan, write_scan)
 from .restorenet import (NetConfig, ResLPRNet, TrainOptions, load_checkpoint,
@@ -26,12 +26,16 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
+def _projection(height=64, width=1920, fov_up_deg=3.0, fov_down_deg=-25.0,
+                max_range=80.0) -> ProjectionSpec:
+    """ProjectionSpec from a field of view given in degrees."""
+    return ProjectionSpec(height=height, width=width, fov_up=math.radians(fov_up_deg),
+                          fov_down=math.radians(fov_down_deg), max_range=max_range)
+
+
 def _projection_from_args(args) -> ProjectionSpec:
-    return ProjectionSpec(
-        height=args.height, width=args.width,
-        fov_up=math.radians(args.fov_up_deg),
-        fov_down=math.radians(args.fov_down_deg),
-        max_range=args.max_range)
+    return _projection(args.height, args.width, args.fov_up_deg, args.fov_down_deg,
+                       args.max_range)
 
 
 def _add_projection_args(p):
@@ -47,6 +51,16 @@ def _scan_files(directory):
     if not files:
         raise ScanParseError(f"no .bin scans under {directory}")
     return files
+
+
+def _entries(paths, poses):
+    """bench.ScanEntry per scan file, read one at a time; the scan id is the
+    file name's stem."""
+    for path in paths:
+        sid = int(os.path.splitext(os.path.basename(path))[0])
+        if sid not in poses:
+            raise ConfigError(f"no pose for scan {sid}")
+        yield bench.ScanEntry(sid, read_scan(path), poses[sid])
 
 
 def cmd_corrupt(args) -> int:
@@ -106,14 +120,9 @@ def cmd_restore(args) -> int:
 
 def cmd_index(args) -> int:
     poses = bench.read_pose_file(args.poses)
-    db = lpr.PlaceDatabase(rings=args.rings, sectors=args.sectors)
-    for path in _scan_files(getattr(args, "in")):
-        scan_id = int(os.path.splitext(os.path.basename(path))[0])
-        if scan_id not in poses:
-            raise ConfigError(f"no pose for scan {scan_id}")
-        desc = lpr.make_descriptor(read_scan(path), args.rings, args.sectors,
-                                   args.max_radius)
-        db.add(scan_id, poses[scan_id], desc)
+    config = RunConfig(rings=args.rings, sectors=args.sectors,
+                       max_radius=args.max_radius)
+    db = bench.build_database(_entries(_scan_files(getattr(args, "in")), poses), config)
     db.save(args.out)
     print(f"indexed {len(db)} scans -> {args.out}")
     return 0
@@ -130,22 +139,10 @@ def cmd_retrieve(args) -> int:
 
 def cmd_evaluate(args) -> int:
     db = lpr.PlaceDatabase.load(args.db)
-    db_poses = dict(zip(db.ids, db.poses))
-    query_poses = bench.read_pose_file(args.query_poses)
-    records = []
-    for path in _scan_files(args.queries):
-        qid = int(os.path.splitext(os.path.basename(path))[0])
-        if qid not in query_poses:
-            raise ConfigError(f"no pose for query {qid}")
-        desc = lpr.make_descriptor(read_scan(path), db.rings, db.sectors,
-                                   args.max_radius)
-        exclude = None
-        if args.exclude_recent:
-            exclude = [i for i in db.ids if abs(i - qid) <= args.exclude_recent]
-        ranked = db.query(desc, top_n=args.top_n, exclude_ids=exclude)
-        records.append(metrics.RetrievalRecord(
-            query_id=qid, matches=tuple(ranked),
-            query_pose=query_poses[qid], db_poses=db_poses))
+    poses = bench.read_pose_file(args.query_poses)
+    config = RunConfig(rings=db.rings, sectors=db.sectors, max_radius=args.max_radius,
+                       top_n=args.top_n, exclude_recent=args.exclude_recent)
+    records = bench.evaluate_queries(db, _entries(_scan_files(args.queries), poses), config)
     row = metrics.score_records(records, "unknown", 0, "none", args.pos_radius)
     print(f"AUC={row.auc:.4f} F1={row.f1:.4f} "
           f"R@1={row.r1:.4f} R@5={row.r5:.4f} R@20={row.r20:.4f}")
@@ -155,12 +152,10 @@ def cmd_evaluate(args) -> int:
 
 
 def _bench_config(raw: dict, args) -> RunConfig:
-    proj = raw.get("projection", {})
-    spec = ProjectionSpec(
-        height=proj.get("height", 64), width=proj.get("width", 1920),
-        fov_up=math.radians(proj.get("fov_up_deg", 3.0)),
-        fov_down=math.radians(proj.get("fov_down_deg", -25.0)),
-        max_range=proj.get("max_range", 80.0))
+    try:
+        spec = _projection(**raw.get("projection", {}))
+    except TypeError as exc:
+        raise ConfigError(f"bad projection block: {exc}") from exc
     return RunConfig(
         kinds=tuple(raw.get("kinds", weathersim.CORRUPTION_KINDS)),
         levels=tuple(raw.get("levels", weathersim.SEVERITY_LEVELS)),
@@ -184,6 +179,8 @@ def cmd_bench(args) -> int:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {args.config} is not a JSON object")
     config = _bench_config(raw, args)
 
     if "synthetic" in raw:
@@ -198,18 +195,10 @@ def cmd_bench(args) -> int:
             raw["manifest"] if os.path.isabs(raw["manifest"])
             else os.path.join(os.path.dirname(os.path.abspath(args.config)),
                               raw["manifest"]))
-        db_poses = bench.read_pose_file(manifest.database_poses)
-        q_poses = bench.read_pose_file(manifest.query_poses)
-
-        def load_entries(paths, poses):
-            out = []
-            for path in paths:
-                sid = int(os.path.splitext(os.path.basename(path))[0])
-                out.append(bench.ScanEntry(sid, read_scan(path), poses[sid]))
-            return out
-
-        database = load_entries(manifest.database_scans, db_poses)
-        queries = load_entries(manifest.query_scans, q_poses)
+        database = tuple(_entries(manifest.database_scans,
+                                  bench.read_pose_file(manifest.database_poses)))
+        queries = tuple(_entries(manifest.query_scans,
+                                 bench.read_pose_file(manifest.query_poses)))
     else:
         raise ConfigError("config needs either 'synthetic' or 'manifest'")
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pointcloud import PointCloud
+from .pointcloud import PointCloud, ScanParseError, read_exact
 
 DEFAULT_RINGS = 20
 DEFAULT_SECTORS = 60
@@ -25,14 +25,6 @@ class ScanContext:
 
     cells: np.ndarray     # (R, S) max z per bin, 0 where empty
     ring_key: np.ndarray  # (R,) fraction of occupied sectors per ring
-
-    @property
-    def rings(self) -> int:
-        return self.cells.shape[0]
-
-    @property
-    def sectors(self) -> int:
-        return self.cells.shape[1]
 
 
 def make_descriptor(cloud: PointCloud, rings: int = DEFAULT_RINGS,
@@ -107,9 +99,6 @@ class PlaceDatabase:
         self.poses.append((float(pose[0]), float(pose[1])))
         self.descriptors.append(descriptor)
 
-    def pose_of(self, scan_id: int):
-        return self.poses[self.ids.index(scan_id)]
-
     def _ring_key_matrix(self) -> np.ndarray:
         return np.stack([d.ring_key for d in self.descriptors])
 
@@ -150,19 +139,20 @@ class PlaceDatabase:
 
     @classmethod
     def load(cls, path) -> "PlaceDatabase":
+        """Read a save() file; a truncated or malformed one raises
+        pointcloud.ScanParseError."""
         with open(path, "rb") as fh:
             if fh.read(4) != _DB_MAGIC:
-                raise ValueError(f"{path}: not a place database file")
-            version, rings, sectors = struct.unpack("<III", fh.read(12))
+                raise ScanParseError(f"{path}: not a place database file")
+            version, rings, sectors = struct.unpack("<III", read_exact(fh, 12, path))
             if version != _DB_VERSION:
-                raise ValueError(f"{path}: unsupported version {version}")
-            (count,) = struct.unpack("<I", fh.read(4))
+                raise ScanParseError(f"{path}: unsupported version {version}")
+            (count,) = struct.unpack("<I", read_exact(fh, 4, path))
             db = cls(rings=rings, sectors=sectors)
             for _ in range(count):
-                (sid,) = struct.unpack("<q", fh.read(8))
-                pose = struct.unpack("<dd", fh.read(16))
-                cells = np.frombuffer(fh.read(4 * rings * sectors),
+                sid, px, py = struct.unpack("<qdd", read_exact(fh, 24, path))
+                cells = np.frombuffer(read_exact(fh, 4 * rings * sectors, path),
                                       dtype="<f4").reshape(rings, sectors).astype(float)
                 occupied = cells != 0.0
-                db.add(sid, pose, ScanContext(cells=cells, ring_key=occupied.mean(axis=1)))
+                db.add(sid, (px, py), ScanContext(cells=cells, ring_key=occupied.mean(axis=1)))
         return db

@@ -61,14 +61,6 @@ class ProjectionSpec:
         if self.max_range <= 0:
             raise ValueError("max_range must be positive")
 
-    @classmethod
-    def kitti(cls) -> "ProjectionSpec":
-        return cls()
-
-    @classmethod
-    def nclt(cls) -> "ProjectionSpec":
-        return cls(height=32, width=1440)
-
 
 @dataclass(frozen=True)
 class RangeImage:
@@ -119,6 +111,14 @@ def read_scan(path, layout: str = "kitti_bin") -> PointCloud:
         raise ScanParseError(f"{path}: non-finite values in scan")
     pts[:, 3] = normalize_intensity(pts[:, 3])
     return PointCloud(pts, frame_id=os.path.splitext(os.path.basename(str(path)))[0])
+
+
+def read_exact(fh, n: int, path) -> bytes:
+    """Exactly ``n`` bytes from a binary file; fewer raise ScanParseError."""
+    data = fh.read(n)
+    if len(data) != n:
+        raise ScanParseError(f"{path}: truncated at byte {fh.tell()}")
+    return data
 
 
 def write_scan(cloud: PointCloud, path) -> None:

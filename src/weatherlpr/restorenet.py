@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensorops as ops
 from . import wavelet
-from .pointcloud import RangeImage, ScanParseError
+from .pointcloud import RangeImage, ScanParseError, read_exact
 
 _CKPT_MAGIC = b"WLCK"
 _CKPT_VERSION = 1
@@ -56,22 +56,21 @@ def _init(rng, shape, fan_in):
     return rng.normal(0.0, 0.5 / math.sqrt(fan_in), size=shape)
 
 
-class Conv2d:
-    """Same-size convolution layer with reflect padding."""
+class OpLayer:
+    """A tensorops op with a weight and a bias: ``forward`` calls ``ops.<op>``
+    and ``backward`` calls ``ops.<op>_backward``, both looked up at call time
+    so that a wrapper put on a tensorops function sees every layer's calls.
+    ``kw`` holds the op's remaining keyword arguments."""
 
-    def __init__(self, rng, cin, cout, k=3, groups=1, name="conv", w_init=None):
-        fan = k * k * (cin // groups)
-        w = w_init if w_init is not None else _init(rng, (k, k, cin // groups, cout), fan)
-        self.groups = groups
-        self.w = Param(f"{name}.w", w)
-        self.b = Param(f"{name}.b", np.zeros(cout))
+    def __init__(self, op, w: Param, b: Param, **kw):
+        self.op, self.w, self.b, self.kw = op, w, b, kw
 
     def forward(self, x):
-        y, self._cache = ops.conv2d(x, self.w.value, self.b.value, self.groups)
+        y, self._cache = getattr(ops, self.op)(x, self.w.value, self.b.value, **self.kw)
         return y
 
     def backward(self, gy):
-        gx, gw, gb = ops.conv2d_backward(self._cache, gy)
+        gx, gw, gb = getattr(ops, f"{self.op}_backward")(self._cache, gy)
         self.w.grad += gw
         self.b.grad += gb
         return gx
@@ -80,73 +79,36 @@ class Conv2d:
         return [self.w, self.b]
 
 
-class ConvTranspose2x2:
+def Conv2d(rng, cin, cout, k=3, groups=1, name="conv", w_init=None):
+    """Same-size convolution layer with reflect padding."""
+    fan = k * k * (cin // groups)
+    w = w_init if w_init is not None else _init(rng, (k, k, cin // groups, cout), fan)
+    return OpLayer("conv2d", Param(f"{name}.w", w), Param(f"{name}.b", np.zeros(cout)),
+                   groups=groups)
+
+
+def ConvTranspose2x2(rng, cin, cout, name="up", synthesis_init=False):
     """Stride-2 transposed convolution; optionally initialized to the exact
     wavelet synthesis filters (cin = 4 * cout)."""
-
-    def __init__(self, rng, cin, cout, name="up", synthesis_init=False):
-        if synthesis_init:
-            if cin != 4 * cout:
-                raise ValueError("synthesis init needs cin == 4 * cout")
-            w = wavelet.synthesis_kernel(cout)
-        else:
-            w = _init(rng, (2, 2, cin, cout), cin)
-        self.w = Param(f"{name}.w", w)
-        self.b = Param(f"{name}.b", np.zeros(cout))
-
-    def forward(self, x):
-        y, self._cache = ops.conv_transpose2x2(x, self.w.value, self.b.value)
-        return y
-
-    def backward(self, gy):
-        gx, gw, gb = ops.conv_transpose2x2_backward(self._cache, gy)
-        self.w.grad += gw
-        self.b.grad += gb
-        return gx
-
-    def params(self):
-        return [self.w, self.b]
+    if synthesis_init:
+        if cin != 4 * cout:
+            raise ValueError("synthesis init needs cin == 4 * cout")
+        w = wavelet.synthesis_kernel(cout)
+    else:
+        w = _init(rng, (2, 2, cin, cout), cin)
+    return OpLayer("conv_transpose2x2", Param(f"{name}.w", w),
+                   Param(f"{name}.b", np.zeros(cout)))
 
 
-class Linear:
-    def __init__(self, rng, cin, cout, name="fc"):
-        self.w = Param(f"{name}.w", _init(rng, (cin, cout), cin))
-        self.b = Param(f"{name}.b", np.zeros(cout))
-
-    def forward(self, x):
-        y, self._cache = ops.linear(x, self.w.value, self.b.value)
-        return y
-
-    def backward(self, gy):
-        gx, gw, gb = ops.linear_backward(self._cache, gy)
-        self.w.grad += gw
-        self.b.grad += gb
-        return gx
-
-    def params(self):
-        return [self.w, self.b]
+def Linear(rng, cin, cout, name="fc"):
+    return OpLayer("linear", Param(f"{name}.w", _init(rng, (cin, cout), cin)),
+                   Param(f"{name}.b", np.zeros(cout)))
 
 
-class Norm:
+def Norm(channels, axes, name="norm"):
     """Per-channel affine normalization over the given axes."""
-
-    def __init__(self, channels, axes, name="norm"):
-        self.axes = axes
-        self.g = Param(f"{name}.g", np.ones(channels))
-        self.b = Param(f"{name}.b", np.zeros(channels))
-
-    def forward(self, x):
-        y, self._cache = ops.moment_norm(x, self.g.value, self.b.value, self.axes)
-        return y
-
-    def backward(self, gy):
-        gx, gg, gb = ops.moment_norm_backward(self._cache, gy)
-        self.g.grad += gg
-        self.b.grad += gb
-        return gx
-
-    def params(self):
-        return [self.g, self.b]
+    return OpLayer("moment_norm", Param(f"{name}.g", np.ones(channels)),
+                   Param(f"{name}.b", np.zeros(channels)), axes=axes)
 
 
 def _pool_stride(n_tokens: int, cap: int) -> int:
@@ -597,23 +559,16 @@ def save_checkpoint(net: ResLPRNet, path) -> None:
             fh.write(p.value.astype("<f4").tobytes())
 
 
-def _read_exact(fh, n: int, path) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise ScanParseError(f"{path}: checkpoint truncated at byte {fh.tell()}")
-    return data
-
-
 def load_checkpoint(path) -> ResLPRNet:
     """Read a save_checkpoint file; a truncated or malformed one raises
     pointcloud.ScanParseError."""
     with open(path, "rb") as fh:
         if fh.read(4) != _CKPT_MAGIC:
             raise ScanParseError(f"{path}: not a checkpoint file")
-        version, count = struct.unpack("<II", _read_exact(fh, 8, path))
+        version, count = struct.unpack("<II", read_exact(fh, 8, path))
         if version != _CKPT_VERSION:
             raise ScanParseError(f"{path}: unsupported checkpoint version {version}")
-        base_c, n_ctx, cap = struct.unpack("<III", _read_exact(fh, 12, path))
+        base_c, n_ctx, cap = struct.unpack("<III", read_exact(fh, 12, path))
         try:
             config = NetConfig(base_channels=base_c, n_contexts=n_ctx,
                                attn_token_cap=cap)
@@ -624,12 +579,12 @@ def load_checkpoint(path) -> ResLPRNet:
         if len(table) != count:
             raise ScanParseError(f"{path}: tensor count {count} != expected {len(table)}")
         for _ in range(count):
-            (nlen,) = struct.unpack("<H", _read_exact(fh, 2, path))
-            name = _read_exact(fh, nlen, path).decode(errors="replace")
-            (ndim,) = struct.unpack("<B", _read_exact(fh, 1, path))
-            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, path))
+            (nlen,) = struct.unpack("<H", read_exact(fh, 2, path))
+            name = read_exact(fh, nlen, path).decode(errors="replace")
+            (ndim,) = struct.unpack("<B", read_exact(fh, 1, path))
+            shape = struct.unpack(f"<{ndim}I", read_exact(fh, 4 * ndim, path))
             if name not in table or table[name].value.shape != shape:
                 raise ScanParseError(f"{path}: unexpected tensor {name} {shape}")
-            data = _read_exact(fh, 4 * int(np.prod(shape)), path)
+            data = read_exact(fh, 4 * int(np.prod(shape)), path)
             table[name].value[...] = np.frombuffer(data, dtype="<f4").reshape(shape)
     return net

@@ -224,9 +224,6 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     return moment_norm(x, gain, bias, axes=(-1,))
 
 
-layer_norm_backward = moment_norm_backward
-
-
 def gap(x: np.ndarray):
     """Global average pooling over the two spatial axes. (H, W, C) -> (C,)."""
     if x.ndim != 3:

@@ -55,24 +55,6 @@ def idwt2(sb: WaveletSubbands) -> np.ndarray:
     return out
 
 
-def dwt2_padded(f: np.ndarray):
-    """dwt2 that reflect-pads odd extents on the right/bottom.
-
-    Returns (subbands, original (H, W)) so idwt2_cropped can undo the pad.
-    """
-    h, w = f.shape[0], f.shape[1]
-    ph, pw = h % 2, w % 2
-    if ph or pw:
-        pad = [(0, ph), (0, pw)] + [(0, 0)] * (f.ndim - 2)
-        f = np.pad(f, pad, mode="reflect")
-    return dwt2(f), (h, w)
-
-
-def idwt2_cropped(sb: WaveletSubbands, orig_hw) -> np.ndarray:
-    h, w = orig_hw
-    return idwt2(sb)[:h, :w]
-
-
 def synthesis_kernel(channels: int) -> np.ndarray:
     """Transposed-conv kernel (2, 2, 4*channels, channels) equal to idwt2.
 

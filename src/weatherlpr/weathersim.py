@@ -18,7 +18,7 @@ parallel without changing results.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,16 +44,19 @@ class FogParams:
 
 
 @dataclass(frozen=True)
-class SnowParams:
-    rate: float            # snowfall rate r_s (mm/h)
-    gamma: float = 5.0     # target differential reflectivity coefficient
-    f_s: float = 0.5       # focal slope
-    f_o: float = 0.1       # focal offset
-    i_max: float = 1.0
-    r_max: float = 80.0    # farthest detectable range (m)
-    t_r: float = 0.05      # response floor at the focal point
-    hit_coeff: float = 0.12       # particle-hit probability per mm/h
-    occlusion_coeff: float = 0.04  # full-occlusion probability per mm/h
+class ParticleParams:
+    """Snow or rain: one particle-interaction model, two default tables
+    (SnowParams, RainParams)."""
+
+    rate: float            # precipitation rate (mm/h)
+    gamma: float           # particle differential reflectivity coefficient
+    f_s: float             # focal slope
+    f_o: float             # focal offset
+    i_max: float
+    r_max: float           # farthest detectable range (m)
+    t_r: float             # response floor at the focal point
+    hit_coeff: float       # particle-hit probability per mm/h
+    occlusion_coeff: float  # full-occlusion probability per mm/h
     seed: int = 0
 
     def __post_init__(self):
@@ -63,24 +66,22 @@ class SnowParams:
             raise ValueError("gamma and r_max must be positive")
 
 
-@dataclass(frozen=True)
-class RainParams:
-    rate: float            # rain rate r_r (mm/h)
-    gamma: float = 100.0   # droplet reflectivity coefficient
-    f_s: float = 0.25
-    f_o: float = 0.1
-    i_max: float = 1.0
-    r_max: float = 80.0
-    t_r: float = 0.03
-    hit_coeff: float = 0.006
-    occlusion_coeff: float = 0.001
-    seed: int = 0
+_PARTICLE_DEFAULTS = {
+    "snow": dict(gamma=5.0, f_s=0.5, f_o=0.1, i_max=1.0, r_max=80.0, t_r=0.05,
+                 hit_coeff=0.12, occlusion_coeff=0.04),
+    "rain": dict(gamma=100.0, f_s=0.25, f_o=0.1, i_max=1.0, r_max=80.0, t_r=0.03,
+                 hit_coeff=0.006, occlusion_coeff=0.001),
+}
 
-    def __post_init__(self):
-        if self.rate < 0:
-            raise ValueError("rate must be non-negative")
-        if self.gamma <= 0 or self.r_max <= 0:
-            raise ValueError("gamma and r_max must be positive")
+
+def SnowParams(rate: float, **kw) -> ParticleParams:
+    """Snowfall rate r_s (mm/h); ``kw`` overrides the snow defaults."""
+    return ParticleParams(rate, **{**_PARTICLE_DEFAULTS["snow"], **kw})
+
+
+def RainParams(rate: float, **kw) -> ParticleParams:
+    """Rain rate r_r (mm/h); ``kw`` overrides the rain defaults."""
+    return ParticleParams(rate, **{**_PARTICLE_DEFAULTS["rain"], **kw})
 
 
 @dataclass(frozen=True)
@@ -148,10 +149,9 @@ def corrupt_fog(cloud: PointCloud, p: FogParams):
     return PointCloud(pts[keep], frame_id=cloud.frame_id), ann
 
 
-def _particle_corrupt(cloud: PointCloud, rate, gamma, f_s, f_o, i_max, r_max,
-                      t_r, hit_coeff, occlusion_coeff, seed):
-    """Shared snow/rain machinery; see module docstring."""
-    rng = scan_rng(seed, cloud.frame_id)
+def corrupt_particles(cloud: PointCloud, p: ParticleParams):
+    """Snow and rain; see module docstring."""
+    rng = scan_rng(p.seed, cloud.frame_id)
     n = len(cloud)
     r0 = cloud.ranges
 
@@ -160,18 +160,18 @@ def _particle_corrupt(cloud: PointCloud, rate, gamma, f_s, f_o, i_max, r_max,
     u_occ = rng.random(n)
     u_range = rng.random(n)
 
-    p_hit = min(1.0, hit_coeff * rate)
-    p_occ = min(1.0, occlusion_coeff * rate)
+    p_hit = min(1.0, p.hit_coeff * p.rate)
+    p_occ = min(1.0, p.occlusion_coeff * p.rate)
     eligible = r0 > SCATTER_MIN
     hit = (u_hit < p_hit) & eligible
     occluded = (~hit) & (u_occ < p_occ) & eligible
 
-    r_star = SCATTER_MIN + u_range * (np.minimum(r0, r_max) - SCATTER_MIN)
-    i_snow = snow_intensity(r_star, f_s=f_s, f_o=f_o, i_max=i_max,
-                            r_max=r_max, t_r=t_r)
+    r_star = SCATTER_MIN + u_range * (np.minimum(r0, p.r_max) - SCATTER_MIN)
+    i_snow = snow_intensity(r_star, f_s=p.f_s, f_o=p.f_o, i_max=p.i_max,
+                            r_max=p.r_max, t_r=p.t_r)
 
     pts = cloud.points.copy()
-    scale = np.where(hit, rate / gamma, 1.0)
+    scale = np.where(hit, p.rate / p.gamma, 1.0)
     pts[:, :3] *= scale[:, None]
     pts[:, 3] = np.where(hit, i_snow, pts[:, 3])
 
@@ -187,30 +187,21 @@ def _particle_corrupt(cloud: PointCloud, rate, gamma, f_s, f_o, i_max, r_max,
     return PointCloud(pts[keep], frame_id=cloud.frame_id), ann
 
 
+corrupt_snow = corrupt_rain = corrupt_particles
+
+
 def snow_intensity(r_star, *, f_s, f_o, i_max, r_max, t_r):
     """Focal-curve particle return response, clipped to [0, 1]."""
     raw = t_r + i_max * f_s * np.abs(f_o - (1.0 - r_star / r_max)) ** 2
     return np.clip(raw, 0.0, 1.0)
 
 
-def corrupt_snow(cloud: PointCloud, p: SnowParams):
-    return _particle_corrupt(
-        cloud, rate=p.rate, gamma=p.gamma, f_s=p.f_s, f_o=p.f_o, i_max=p.i_max,
-        r_max=p.r_max, t_r=p.t_r, hit_coeff=p.hit_coeff,
-        occlusion_coeff=p.occlusion_coeff, seed=p.seed)
-
-
-def corrupt_rain(cloud: PointCloud, p: RainParams):
-    return _particle_corrupt(
-        cloud, rate=p.rate, gamma=p.gamma, f_s=p.f_s, f_o=p.f_o, i_max=p.i_max,
-        r_max=p.r_max, t_r=p.t_r, hit_coeff=p.hit_coeff,
-        occlusion_coeff=p.occlusion_coeff, seed=p.seed)
-
-
 # severity presets; the three levels per corruption are ordered mild to severe
-_FOG_LEVELS = {1: (0.003, 0.008), 2: (0.006, 0.02), 3: (0.01, 0.05)}   # alpha, beta
-_SNOW_LEVELS = {1: 0.5, 2: 1.5, 3: 2.5}                                # r_s mm/h
-_RAIN_LEVELS = {1: 10.0, 2: 25.0, 3: 50.0}                             # r_r mm/h
+_LEVELS = {
+    "fog": {1: (0.003, 0.008), 2: (0.006, 0.02), 3: (0.01, 0.05)},   # alpha, beta
+    "snow": {1: 0.5, 2: 1.5, 3: 2.5},                                # r_s mm/h
+    "rain": {1: 10.0, 2: 25.0, 3: 50.0},                             # r_r mm/h
+}
 
 CORRUPTION_KINDS = ("snow", "fog", "rain")
 SEVERITY_LEVELS = (1, 2, 3)
@@ -218,35 +209,22 @@ SEVERITY_LEVELS = (1, 2, 3)
 
 def severity_preset(kind: str, level: int, seed: int = 0):
     """Documented preset table mapping (kind, level) to typed parameters."""
+    if kind not in _LEVELS:
+        raise ValueError(f"unknown corruption kind: {kind}")
+    if level not in _LEVELS[kind]:
+        raise ValueError(f"unknown {kind} severity level: {level}")
     if kind == "fog":
-        if level not in _FOG_LEVELS:
-            raise ValueError(f"unknown fog severity level: {level}")
-        alpha, beta = _FOG_LEVELS[level]
+        alpha, beta = _LEVELS[kind][level]
         return FogParams(alpha=alpha, beta=beta, seed=seed)
-    if kind == "snow":
-        if level not in _SNOW_LEVELS:
-            raise ValueError(f"unknown snow severity level: {level}")
-        return SnowParams(rate=_SNOW_LEVELS[level], seed=seed)
-    if kind == "rain":
-        if level not in _RAIN_LEVELS:
-            raise ValueError(f"unknown rain severity level: {level}")
-        return RainParams(rate=_RAIN_LEVELS[level], seed=seed)
-    raise ValueError(f"unknown corruption kind: {kind}")
+    return ParticleParams(_LEVELS[kind][level], **_PARTICLE_DEFAULTS[kind], seed=seed)
 
 
 def corrupt(cloud: PointCloud, kind: str, params):
     if kind == "fog":
         return corrupt_fog(cloud, params)
-    if kind == "snow":
-        return corrupt_snow(cloud, params)
-    if kind == "rain":
-        return corrupt_rain(cloud, params)
+    if kind in ("snow", "rain"):
+        return corrupt_particles(cloud, params)
     raise ValueError(f"unknown corruption kind: {kind}")
-
-
-def with_seed(params, seed: int):
-    """Copy of a params object with a different RNG seed."""
-    return replace(params, seed=seed)
 
 
 def write_annotations(records, path) -> None:

@@ -8,7 +8,7 @@ import pytest
 from weatherlpr import bench, lpr, metrics, weathersim
 from weatherlpr.bench import (ConfigError, Manifest, RunConfig,
                               make_synthetic_world, run_benchmark)
-from weatherlpr.pointcloud import ProjectionSpec
+from weatherlpr.pointcloud import ProjectionSpec, ScanParseError
 
 
 def small_projection():
@@ -100,6 +100,22 @@ class TestManifest:
         m = bench.load_manifest(d / "m.json")
         assert m.database_scans[0] == str(d / "a.bin")
 
+    def test_manifest_without_queries_rejected(self, tmp_path):
+        d = self.manifest_files(tmp_path)
+        (d / "m.json").write_text(json.dumps({
+            "database": {"scans": ["a.bin"], "poses": "db_poses.txt"}}))
+        with pytest.raises(ConfigError, match="malformed manifest"):
+            bench.load_manifest(d / "m.json")
+
+
+class TestPoseFile:
+    @pytest.mark.parametrize("line", ["0 1.0", "0 1.0 north", "zero 1.0 2.0"])
+    def test_malformed_line_names_path_and_line(self, tmp_path, line):
+        path = tmp_path / "poses.txt"
+        path.write_text(f"5 0.0 0.0\n\n{line}\n")
+        with pytest.raises(ScanParseError, match="poses.txt:3: bad pose line"):
+            bench.read_pose_file(path)
+
 
 class TestRunConfig:
     def test_invalid_choices_rejected(self):
@@ -107,8 +123,6 @@ class TestRunConfig:
             RunConfig(preprocessing="magic")
         with pytest.raises(ConfigError):
             RunConfig(protocol="oxford")
-        with pytest.raises(ConfigError):
-            RunConfig(lpr_method="netvlad")
 
     def test_param_overrides_take_precedence(self):
         zero = weathersim.FogParams(alpha=0.0, beta=0.0)

@@ -106,6 +106,71 @@ class TestIndexRetrieveEvaluate:
         assert f"R@5={row.r5:.4f}" in cli_out
 
 
+class TestInputErrors:
+    """Malformed input files exit 3 (data) or 2 (configuration), never with
+    a traceback."""
+
+    def index(self, world_dir, poses, tmp_path):
+        return cli.main(["index", "--in", str(world_dir / "database"),
+                         "--poses", str(poses), "--out", str(tmp_path / "p.db")])
+
+    def bench(self, cfg, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return cli.main(["bench", "--config", str(path), "--out", str(tmp_path / "run")])
+
+    def manifest(self, world_dir, tmp_path, query_poses=None):
+        def role(name, poses):
+            return {"scans": [str(p) for p in sorted((world_dir / name).glob("*.bin"))],
+                    "poses": str(poses)}
+
+        raw = {"database": role("database", world_dir / "database_poses.txt"),
+               "queries": role("queries", query_poses or world_dir / "query_poses.txt")}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(raw))
+        return path
+
+    def test_truncated_database_exits_3(self, world_dir, db_path, tmp_path):
+        blob = db_path.read_bytes()
+        scan = sorted((world_dir / "database").glob("*.bin"))[0]
+        for n in (0, 3, 10, 18, 30, len(blob) // 2, len(blob) - 1):
+            cut = tmp_path / f"cut{n}.db"
+            cut.write_bytes(blob[:n])
+            rc = cli.main(["retrieve", "--db", str(cut), "--query", str(scan)])
+            assert rc == cli.EXIT_DATA, n
+
+    def test_pose_line_missing_field_exits_3(self, world_dir, tmp_path):
+        poses = tmp_path / "poses.txt"
+        poses.write_text("0 1.0\n")
+        assert self.index(world_dir, poses, tmp_path) == cli.EXIT_DATA
+
+    def test_pose_line_non_numeric_exits_3(self, world_dir, tmp_path):
+        poses = tmp_path / "poses.txt"
+        poses.write_text("0 1.0 east\n")
+        assert self.index(world_dir, poses, tmp_path) == cli.EXIT_DATA
+
+    def test_manifest_without_queries_exits_2(self, world_dir, tmp_path):
+        path = self.manifest(world_dir, tmp_path)
+        raw = json.loads(path.read_text())
+        del raw["queries"]
+        path.write_text(json.dumps(raw))
+        rc = cli.main(["train", "--manifest", str(path), "--out", str(tmp_path / "c")])
+        assert rc == cli.EXIT_CONFIG
+
+    def test_manifest_scan_without_pose_exits_2(self, world_dir, tmp_path):
+        poses = tmp_path / "few_poses.txt"
+        poses.write_text("0 0.0 0.0\n")
+        path = self.manifest(world_dir, tmp_path, query_poses=poses)
+        assert self.bench({"manifest": str(path)}, tmp_path) == cli.EXIT_CONFIG
+
+    def test_config_not_an_object_exits_2(self, tmp_path):
+        assert self.bench(["synthetic"], tmp_path) == cli.EXIT_CONFIG
+
+    def test_unknown_projection_key_exits_2(self, tmp_path):
+        cfg = {"projection": {"height": 32, "hieght": 16}, "synthetic": {"n_places": 3}}
+        assert self.bench(cfg, tmp_path) == cli.EXIT_CONFIG
+
+
 class TestRestore:
     def test_truncated_checkpoint_is_data_error(self, world_dir, tmp_path):
         ckpt = tmp_path / "net.ckpt"

@@ -3,7 +3,7 @@ import pytest
 
 from weatherlpr.lpr import (PlaceDatabase, ScanContext, make_descriptor,
                             sc_distance)
-from weatherlpr.pointcloud import PointCloud
+from weatherlpr.pointcloud import PointCloud, ScanParseError
 
 
 def rot_z(cloud, angle):
@@ -152,6 +152,29 @@ class TestDatabase:
         assert [sid for sid, _ in a] == [sid for sid, _ in b]
         for (_, da), (_, db_) in zip(a, b):
             assert da == pytest.approx(db_, abs=1e-5)
+
+    def test_every_truncation_is_data_error(self, tmp_path):
+        db = PlaceDatabase(rings=4, sectors=6)
+        for k, seed in enumerate((1, 2, 3)):
+            db.add(k, (float(k), 0.0), make_descriptor(structured_cloud(seed), 4, 6))
+        db.save(tmp_path / "db.bin")
+        blob = (tmp_path / "db.bin").read_bytes()
+        cut = tmp_path / "cut.bin"
+        for n in range(len(blob)):
+            cut.write_bytes(blob[:n])
+            with pytest.raises(ScanParseError):
+                PlaceDatabase.load(cut)
+        cut.write_bytes(blob)
+        assert PlaceDatabase.load(cut).ids == [0, 1, 2]
+
+    def test_bad_magic_and_version_are_data_errors(self, tmp_path):
+        db, _ = build_db(n=2)
+        db.save(tmp_path / "db.bin")
+        blob = (tmp_path / "db.bin").read_bytes()
+        for bad in (b"NOPE" + blob[4:], blob[:4] + b"\x09" + blob[5:]):
+            (tmp_path / "bad.bin").write_bytes(bad)
+            with pytest.raises(ScanParseError):
+                PlaceDatabase.load(tmp_path / "bad.bin")
 
     def test_empty_query_rejected(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -327,6 +328,17 @@ class TestCheckpoint:
             assert a.name == b.name
             np.testing.assert_array_equal(b.value,
                                           a.value.astype(np.float32).astype(float))
+
+    def test_format_pinned(self, tmp_path):
+        # names, order, shapes and seeded initial values of all parameters:
+        # a layer refactor that changes any of them changes these bytes
+        R.save_checkpoint(R.ResLPRNet(R.NetConfig(base_channels=2, seed=0)),
+                          tmp_path / "net.ckpt")
+        blob = (tmp_path / "net.ckpt").read_bytes()
+        assert len(blob) == 70832
+        assert int.from_bytes(blob[8:12], "little") == 157
+        assert hashlib.sha256(blob).hexdigest() == (
+            "1270f1f42da0c000f53caa89ba9787acd60541bd7f9ea6c0553d284f1f7590cb")
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

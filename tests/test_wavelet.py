@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from weatherlpr.wavelet import (dwt2, dwt2_padded, idwt2, idwt2_cropped,
-                                synthesis_kernel)
+from weatherlpr.wavelet import dwt2, idwt2, synthesis_kernel
 
 
 def rand_img(rng, h=8, w=12, c=3):
@@ -62,12 +61,6 @@ class TestInverse:
         np.testing.assert_allclose(smooth[1::2, 0::2], sub.ll / 2, atol=1e-12)
         np.testing.assert_allclose(smooth[0::2, 1::2], sub.ll / 2, atol=1e-12)
         np.testing.assert_allclose(smooth[1::2, 1::2], sub.ll / 2, atol=1e-12)
-
-    def test_padded_roundtrip_odd_dims(self):
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=(7, 9, 2))
-        sub, shape = dwt2_padded(x)
-        np.testing.assert_allclose(idwt2_cropped(sub, shape), x, atol=1e-12)
 
 
 class TestSynthesisKernel:

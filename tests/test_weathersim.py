@@ -67,8 +67,8 @@ class TestFog:
 class TestParticleModels:
     def test_zero_rate_identity(self):
         cloud = random_cloud(5)
-        for params in (W.SnowParams(rate=0.0), W.RainParams(rate=0.0)):
-            fn = W.corrupt_snow if isinstance(params, W.SnowParams) else W.corrupt_rain
+        for fn, params in ((W.corrupt_snow, W.SnowParams(rate=0.0)),
+                           (W.corrupt_rain, W.RainParams(rate=0.0))):
             out, ann = fn(cloud, params)
             np.testing.assert_array_equal(out.points, cloud.points)
             assert ann.noise_count == 0 and ann.dropped.size == 0
