@@ -33,14 +33,12 @@ class ScanEntry:
 class SyntheticWorld:
     database: tuple   # ScanEntry, ...
     queries: tuple    # ScanEntry, ...; revisits carry poses near database poses
-    seed: int
 
 
 @dataclass(frozen=True)
 class Manifest:
     """Dataset roles: database scans, query scans, pose files, train pairs."""
 
-    name: str
     database_scans: tuple     # file paths
     query_scans: tuple
     database_poses: str       # pose file: "<scan_id> <x> <y>" per line
@@ -69,7 +67,6 @@ def load_manifest(path) -> Manifest:
 
     try:
         m = Manifest(
-            name=raw.get("name", "unnamed"),
             database_scans=tuple(_abs(p) for p in raw["database"]["scans"]),
             query_scans=tuple(_abs(p) for p in raw["queries"]["scans"]),
             database_poses=_abs(raw["database"]["poses"]),
@@ -121,20 +118,12 @@ class RunConfig:
     exclude_recent: int = 0
     projection: ProjectionSpec = field(default_factory=ProjectionSpec)
     out_dir: str | None = None
-    # test hook: {kind: {level: params}} overriding the preset table
-    param_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.preprocessing not in ("none", "restorenet"):
             raise ConfigError(f"unknown preprocessing: {self.preprocessing}")
         if self.protocol not in ("kitti", "nclt"):
             raise ConfigError(f"unknown protocol: {self.protocol}")
-
-    def params_for(self, kind: str, level: int):
-        override = self.param_overrides.get(kind, {}).get(level)
-        if override is not None:
-            return override
-        return weathersim.severity_preset(kind, level, seed=self.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +242,7 @@ def make_synthetic_world(seed: int, n_places: int, revisit_fraction: float = 1.0
             th = 2 * np.pi * q / n_queries
             pose = ((radius + 200.0) * np.cos(th), (radius + 200.0) * np.sin(th))
         queries.append(ScanEntry(qid, PointCloud(pts, frame_id=f"q{qid}"), pose))
-    return SyntheticWorld(database=tuple(database), queries=tuple(queries), seed=seed)
+    return SyntheticWorld(database=tuple(database), queries=tuple(queries))
 
 
 def write_world(world: SyntheticWorld, out_dir) -> None:
@@ -285,7 +274,7 @@ def build_database(entries, config: RunConfig) -> lpr.PlaceDatabase:
 
 def restore_cloud(cloud: PointCloud, net: ResLPRNet, spec: ProjectionSpec) -> PointCloud:
     """Round a cloud through the restoration network via the range image."""
-    return back_project(net.forward(project(cloud, spec)), spec)
+    return back_project(net.forward(project(cloud, spec)))
 
 
 def evaluate_queries(db: lpr.PlaceDatabase, query_entries, config: RunConfig,
@@ -313,16 +302,6 @@ def evaluate_queries(db: lpr.PlaceDatabase, query_entries, config: RunConfig,
     return records
 
 
-def _config_echo(config: RunConfig) -> dict:
-    echo = asdict(config)
-    # the report must not depend on where it is written
-    echo.pop("out_dir", None)
-    echo["param_overrides"] = sorted(
-        f"{kind}:{level}" for kind, levels in config.param_overrides.items()
-        for level in levels)
-    return echo
-
-
 def run_benchmark(database_entries, query_entries, config: RunConfig,
                   net: ResLPRNet | None = None) -> dict:
     """Full benchmark: clean baseline, then every (kind, level) with optional
@@ -344,6 +323,8 @@ def run_benchmark(database_entries, query_entries, config: RunConfig,
         t = time.perf_counter()
         try:
             out = fn()
+        except ValueError:
+            raise  # ConfigError, ScanParseError, MetricError keep their exit code
         except Exception as exc:
             raise RuntimeError(f"benchmark stage '{label}' failed: {exc}") from exc
         timings[label] = time.perf_counter() - t
@@ -360,7 +341,7 @@ def run_benchmark(database_entries, query_entries, config: RunConfig,
     for kind in config.kinds:
         alps = []
         for level in config.levels:
-            params = config.params_for(kind, level)
+            params = weathersim.severity_preset(kind, level, seed=config.seed)
             records = stage(f"evaluate_{kind}_{level}", lambda k=kind, p=params:
                             evaluate_queries(db, query_entries, config,
                                              net=use_net, corrupt_with=(k, p)))
@@ -382,7 +363,8 @@ def run_benchmark(database_entries, query_entries, config: RunConfig,
             msr_value = float(sum(sr.values())) / len(sr)
 
     report = {
-        "config": _config_echo(config),
+        # the report must not depend on where it is written
+        "config": {k: v for k, v in asdict(config).items() if k != "out_dir"},
         "protocol": config.protocol,
         "alp_clean": alp_clean,
         "rows": [asdict(r) for r in rows],
@@ -415,7 +397,7 @@ def make_restoration_pairs(entries, kind: str, levels, config: RunConfig):
     for e in entries:
         clean_img = project(e.cloud, config.projection)
         for level in levels:
-            params = config.params_for(kind, level)
+            params = weathersim.severity_preset(kind, level, seed=config.seed)
             corrupted, _ = weathersim.corrupt(e.cloud, kind, params)
             pairs.append((project(corrupted, config.projection), clean_img))
     return pairs

@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import glob
 import json
 import math
@@ -16,8 +17,7 @@ import numpy as np
 
 from . import bench, lpr, metrics, weathersim
 from .bench import ConfigError, RunConfig
-from .pointcloud import (ProjectionSpec, RangeImage, ScanParseError,
-                         back_project, project, read_scan, write_scan)
+from .pointcloud import ProjectionSpec, ScanParseError, project, read_scan, write_scan
 from .restorenet import (NetConfig, ResLPRNet, TrainOptions, load_checkpoint,
                          save_checkpoint, train)
 
@@ -152,25 +152,20 @@ def cmd_evaluate(args) -> int:
 
 
 def _bench_config(raw: dict, args) -> RunConfig:
+    """RunConfig from the config keys that name its fields (``out_dir`` is
+    ``--out``); ``projection`` gives its field of view in degrees."""
+    fields = {f.name for f in dataclasses.fields(RunConfig)} - {"out_dir"}
+    unknown = set(raw) - fields - {"synthetic", "manifest"}
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    kw = {key: raw[key] for key in fields & set(raw)}
     try:
-        spec = _projection(**raw.get("projection", {}))
+        kw["projection"] = _projection(**raw.get("projection", {}))
     except TypeError as exc:
         raise ConfigError(f"bad projection block: {exc}") from exc
-    return RunConfig(
-        kinds=tuple(raw.get("kinds", weathersim.CORRUPTION_KINDS)),
-        levels=tuple(raw.get("levels", weathersim.SEVERITY_LEVELS)),
-        preprocessing=raw.get("preprocessing", "none"),
-        checkpoint=raw.get("checkpoint"),
-        protocol=raw.get("protocol", "kitti"),
-        pos_radius=raw.get("pos_radius", metrics.DEFAULT_POS_RADIUS),
-        top_n=raw.get("top_n", 20),
-        seed=args.seed if args.seed is not None else raw.get("seed", 0),
-        rings=raw.get("rings", lpr.DEFAULT_RINGS),
-        sectors=raw.get("sectors", lpr.DEFAULT_SECTORS),
-        max_radius=raw.get("max_radius", lpr.DEFAULT_MAX_RADIUS),
-        exclude_recent=raw.get("exclude_recent", 0),
-        projection=spec,
-        out_dir=args.out)
+    if args.seed is not None:
+        kw["seed"] = args.seed
+    return RunConfig(**kw, out_dir=args.out)
 
 
 def cmd_bench(args) -> int:
@@ -184,11 +179,12 @@ def cmd_bench(args) -> int:
     config = _bench_config(raw, args)
 
     if "synthetic" in raw:
-        syn = raw["synthetic"]
-        world = bench.make_synthetic_world(
-            seed=config.seed, n_places=syn.get("n_places", 50),
-            revisit_fraction=syn.get("revisit_fraction", 0.8),
-            points_per_scan=syn.get("points_per_scan", 900))
+        try:
+            world = bench.make_synthetic_world(
+                seed=config.seed, **{"n_places": 50, "revisit_fraction": 0.8,
+                                     **raw["synthetic"]})
+        except TypeError as exc:
+            raise ConfigError(f"bad synthetic block: {exc}") from exc
         database, queries = world.database, world.queries
     elif "manifest" in raw:
         manifest = bench.load_manifest(

@@ -139,8 +139,8 @@ class PlaceDatabase:
 
     @classmethod
     def load(cls, path) -> "PlaceDatabase":
-        """Read a save() file; a truncated or malformed one raises
-        pointcloud.ScanParseError."""
+        """Read a save() file; a truncated or malformed one, or one with bytes
+        past its last entry, raises pointcloud.ScanParseError."""
         with open(path, "rb") as fh:
             if fh.read(4) != _DB_MAGIC:
                 raise ScanParseError(f"{path}: not a place database file")
@@ -155,4 +155,6 @@ class PlaceDatabase:
                                       dtype="<f4").reshape(rings, sectors).astype(float)
                 occupied = cells != 0.0
                 db.add(sid, (px, py), ScanContext(cells=cells, ring_key=occupied.mean(axis=1)))
+            if fh.read(1):
+                raise ScanParseError(f"{path}: bytes past entry {count} at byte {fh.tell() - 1}")
         return db

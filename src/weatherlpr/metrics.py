@@ -45,12 +45,11 @@ def _match_correct(rec: RetrievalRecord, scan_id: int, pos_radius: float) -> boo
     return _geom_dist(rec.query_pose, rec.db_poses[scan_id]) <= pos_radius
 
 
-def recall_at_n(records, n: int, pos_radius: float = DEFAULT_POS_RADIUS,
-                strict: bool = False) -> float:
+def recall_at_n(records, n: int, pos_radius: float = DEFAULT_POS_RADIUS) -> float:
     """Fraction of queries with a true positive in the top n.
 
     Queries with no achievable positive anywhere in the database are
-    excluded from the denominator (strict=True errors instead).
+    excluded from the denominator.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -59,8 +58,6 @@ def recall_at_n(records, n: int, pos_radius: float = DEFAULT_POS_RADIUS,
     hits = total = 0
     for rec in records:
         if not has_positive(rec, pos_radius):
-            if strict:
-                raise MetricError(f"query {rec.query_id} has no possible positive")
             continue
         total += 1
         if any(_match_correct(rec, sid, pos_radius) for sid, _ in rec.matches[:n]):
@@ -70,14 +67,15 @@ def recall_at_n(records, n: int, pos_radius: float = DEFAULT_POS_RADIUS,
     return hits / total
 
 
-def auc_f1(records, pos_radius: float = DEFAULT_POS_RADIUS, thresholds=None):
+def auc_f1(records, pos_radius: float = DEFAULT_POS_RADIUS):
     """Threshold sweep over top-1 matches -> (PR AUC, max F1).
 
-    A query is accepted at threshold t when its top-1 descriptor distance
-    is <= t. TP: accepted and geometrically correct; FP: accepted and
-    wrong; FN: rejected but a positive existed; TN: rejected with no
-    positive. AUC is the trapezoidal area under the precision-recall
-    curve; F1 is maximized over the sweep.
+    The thresholds are the distinct top-1 descriptor distances; a query
+    is accepted at threshold t when its top-1 distance is <= t. TP:
+    accepted and geometrically correct; FP: accepted and wrong; FN:
+    rejected but a positive existed; TN: rejected with no positive. AUC is
+    the trapezoidal area under the precision-recall curve; F1 is maximized
+    over the sweep.
     """
     if not records:
         raise MetricError("auc_f1 over an empty record set")
@@ -90,14 +88,9 @@ def auc_f1(records, pos_radius: float = DEFAULT_POS_RADIUS, thresholds=None):
                      has_positive(rec, pos_radius)))
     if not any(hp for _, _, hp in top1):
         raise MetricError("all-negative ground truth: AUC undefined")
-    if thresholds is None:
-        thresholds = sorted({d for d, _, _ in top1})
-    if not len(thresholds):
-        raise MetricError("at least one threshold required")
-
     curve = []
     f1_max = 0.0
-    for t in sorted(thresholds):
+    for t in sorted({d for d, _, _ in top1}):
         tp = fp = fn = 0
         for dist, correct, has_pos in top1:
             if dist <= t:

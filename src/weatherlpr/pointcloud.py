@@ -96,10 +96,8 @@ def normalize_intensity(raw: np.ndarray) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-def read_scan(path, layout: str = "kitti_bin") -> PointCloud:
+def read_scan(path) -> PointCloud:
     """Read a binary scan (16 bytes per point: x, y, z, i as LE float32)."""
-    if layout != "kitti_bin":
-        raise ValueError(f"unknown scan layout: {layout}")
     nbytes = os.path.getsize(str(path))
     if nbytes % POINT_RECORD_BYTES:
         raise ScanParseError(
@@ -125,13 +123,12 @@ def write_scan(cloud: PointCloud, path) -> None:
     cloud.points.astype("<f4").tofile(str(path))
 
 
-def project(cloud: PointCloud, spec: ProjectionSpec | None = None) -> RangeImage:
+def project(cloud: PointCloud, spec: ProjectionSpec) -> RangeImage:
     """Spherical projection; on pixel collision the nearer point wins.
 
     Points at zero range (undefined direction) and beyond max_range are
     skipped. The result is independent of input point order.
     """
-    spec = spec or ProjectionSpec()
     H, W = spec.height, spec.width
     x, y, z = cloud.points[:, 0], cloud.points[:, 1], cloud.points[:, 2]
     i = cloud.points[:, 3]
@@ -174,11 +171,10 @@ def pixel_rays(spec: ProjectionSpec):
     return rays
 
 
-def back_project(img: RangeImage, spec: ProjectionSpec | None = None) -> PointCloud:
-    """One point per valid pixel, on the pixel-center ray at range d * max_range."""
-    spec = spec or img.spec
-    if img.shape != (spec.height, spec.width):
-        raise ValueError(f"image shape {img.shape} != spec {(spec.height, spec.width)}")
+def back_project(img: RangeImage) -> PointCloud:
+    """One point per valid pixel of ``img.spec``, on the pixel-center ray at
+    range d * max_range."""
+    spec = img.spec
     rays = pixel_rays(spec)
     vmask = img.mask
     r = img.dist[vmask] * spec.max_range

@@ -87,15 +87,10 @@ def Conv2d(rng, cin, cout, k=3, groups=1, name="conv", w_init=None):
                    groups=groups)
 
 
-def ConvTranspose2x2(rng, cin, cout, name="up", synthesis_init=False):
-    """Stride-2 transposed convolution; optionally initialized to the exact
-    wavelet synthesis filters (cin = 4 * cout)."""
-    if synthesis_init:
-        if cin != 4 * cout:
-            raise ValueError("synthesis init needs cin == 4 * cout")
-        w = wavelet.synthesis_kernel(cout)
-    else:
-        w = _init(rng, (2, 2, cin, cout), cin)
+def ConvTranspose2x2(cout, name="up"):
+    """Stride-2 transposed convolution from 4 * cout channels, initialized to
+    the exact wavelet synthesis filters."""
+    w = wavelet.synthesis_kernel(cout)
     return OpLayer("conv_transpose2x2", Param(f"{name}.w", w),
                    Param(f"{name}.b", np.zeros(cout)))
 
@@ -301,8 +296,7 @@ class WatDecodeBlock:
         if cin % 4:
             raise ValueError("decoder input channels must be divisible by 4")
         cout = cin // 2
-        self.upsample = ConvTranspose2x2(rng, cin, cin // 4, name=f"{name}.up",
-                                         synthesis_init=True)
+        self.upsample = ConvTranspose2x2(cin // 4, name=f"{name}.up")
         self.proj = Conv2d(rng, cin // 4, cout, k=1, name=f"{name}.proj")
         self.mix = FeatureMix(rng, cout, token_cap, name=f"{name}.mix")
         self.fuse = TransformerFuse(rng, cout, token_cap, name=f"{name}.fuse")

@@ -39,10 +39,10 @@ def pad_reflect_backward(cache, gpad: np.ndarray) -> np.ndarray:
     return gx
 
 
-def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None, groups: int = 1):
+def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, groups: int = 1):
     """Same-size 2D convolution with reflect padding.
 
-    x: (H, W, Cin); w: (kh, kw, Cin // groups, Cout); b: (Cout,) or None.
+    x: (H, W, Cin); w: (kh, kw, Cin // groups, Cout); b: (Cout,).
     """
     if x.ndim != 3 or w.ndim != 4:
         raise ShapeError(f"conv2d expects (H,W,Cin) and (kh,kw,Cin/g,Cout), got {x.shape} {w.shape}")
@@ -61,13 +61,12 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None, groups: in
         for ki in range(kh):
             for kj in range(kw):
                 y[:, :, ys] += xp[ki:ki + H, kj:kj + W, xs] @ w[ki, kj, :, ys]
-    if b is not None:
-        y += b
-    return y, (xp, pad_cache, w, groups, b is not None)
+    y += b
+    return y, (xp, pad_cache, w, groups)
 
 
 def conv2d_backward(cache, gy: np.ndarray):
-    xp, pad_cache, w, groups, has_b = cache
+    xp, pad_cache, w, groups = cache
     kh, kw, cg, cout = w.shape
     H, W, _ = gy.shape
     cin = cg * groups
@@ -84,52 +83,45 @@ def conv2d_backward(cache, gy: np.ndarray):
                 gw[ki, kj, :, ys] = np.einsum("hwc,hwd->cd", patch, gys)
                 gxp[ki:ki + H, kj:kj + W, xs] += gys @ w[ki, kj, :, ys].T
     gx = pad_reflect_backward(pad_cache, gxp)
-    gb = gy.sum(axis=(0, 1)) if has_b else None
-    return gx, gw, gb
+    return gx, gw, gy.sum(axis=(0, 1))
 
 
-def conv_transpose2x2(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None):
+def conv_transpose2x2(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """Stride-2 transposed convolution with a 2x2 kernel (exact 2x upsampling).
 
-    x: (h, w, cin); w: (2, 2, cin, cout) -> y: (2h, 2w, cout).
+    x: (h, w, cin); w: (2, 2, cin, cout); b: (cout,) -> y: (2h, 2w, cout).
     """
     if w.shape[:2] != (2, 2) or x.shape[2] != w.shape[2]:
         raise ShapeError(f"conv_transpose2x2 got x {x.shape}, w {w.shape}")
     h, ww, cin = x.shape
     cout = w.shape[3]
     y = np.einsum("hwc,ijcd->hiwjd", x, w).reshape(2 * h, 2 * ww, cout)
-    if b is not None:
-        y = y + b
-    return y, (x, w, b is not None)
+    return y + b, (x, w)
 
 
 def conv_transpose2x2_backward(cache, gy: np.ndarray):
-    x, w, has_b = cache
+    x, w = cache
     h, ww, cin = x.shape
     cout = w.shape[3]
     g = gy.reshape(h, 2, ww, 2, cout)
     gx = np.einsum("hiwjd,ijcd->hwc", g, w)
     gw = np.einsum("hwc,hiwjd->ijcd", x, g)
-    gb = gy.sum(axis=(0, 1)) if has_b else None
-    return gx, gw, gb
+    return gx, gw, gy.sum(axis=(0, 1))
 
 
-def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None):
-    """Channel-wise affine map over the last axis. x: (..., cin), w: (cin, cout)."""
+def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """Channel-wise affine map over the last axis. x: (..., cin), w: (cin, cout),
+    b: (cout,)."""
     if x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear channel mismatch: {x.shape[-1]} vs {w.shape[0]}")
-    y = x @ w
-    if b is not None:
-        y = y + b
-    return y, (x, w, b is not None)
+    return x @ w + b, (x, w)
 
 
 def linear_backward(cache, gy: np.ndarray):
-    x, w, has_b = cache
+    x, w = cache
     gx = gy @ w.T
     gw = x.reshape(-1, w.shape[0]).T @ gy.reshape(-1, w.shape[1])
-    gb = gy.reshape(-1, w.shape[1]).sum(axis=0) if has_b else None
-    return gx, gw, gb
+    return gx, gw, gy.reshape(-1, w.shape[1]).sum(axis=0)
 
 
 def softmax(x: np.ndarray):

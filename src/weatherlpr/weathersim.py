@@ -1,7 +1,7 @@
 """Physics-based fog / snow / rain corruption of LiDAR scans.
 
 Fog: each return is split into a hard-target response i * exp(-2*alpha*R0)
-and a soft (backscatter) response i * R0^2 * beta * it_max; whichever is
+and a soft (backscatter) response i * R0^2 * beta * FOG_IT_MAX; whichever is
 stronger wins. Soft winners are relocated toward the sensor by a seeded
 scatter range and labeled noise.
 
@@ -22,25 +22,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pointcloud import PointCloud
+from .pointcloud import PointCloud, ScanParseError
 
 DETECT_FLOOR = 0.005   # attenuated returns below this intensity are lost
 SCATTER_MIN = 1.5      # meters; nearest plausible particle return
+FOG_IT_MAX = 0.8       # peak soft-target (backscatter) response
 
 
 @dataclass(frozen=True)
 class FogParams:
     alpha: float          # attenuation coefficient (1/m)
     beta: float           # noise factor / differential reflectivity ratio
-    it_max: float = 0.8   # peak soft-target response
     seed: int = 0
-    floor: float = DETECT_FLOOR
 
     def __post_init__(self):
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be non-negative")
-        if not 0 < self.it_max <= 1:
-            raise ValueError("it_max must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -122,7 +119,7 @@ def corrupt_fog(cloud: PointCloud, p: FogParams):
     i0 = cloud.intensity
 
     i_hard = i0 * np.exp(-2.0 * p.alpha * r0)
-    i_soft = i0 * r0 ** 2 * p.beta * p.it_max
+    i_soft = i0 * r0 ** 2 * p.beta * FOG_IT_MAX
     soft = i_soft > i_hard
     soft &= r0 > 0  # zero-range points pass through unchanged
 
@@ -139,7 +136,7 @@ def corrupt_fog(cloud: PointCloud, p: FogParams):
     pts[:, 3] = np.where(nonzero, new_i, i0)
 
     # detectability floor: only genuinely attenuated returns can be lost
-    lost = nonzero & (pts[:, 3] < p.floor) & (pts[:, 3] < i0)
+    lost = nonzero & (pts[:, 3] < DETECT_FLOOR) & (pts[:, 3] < i0)
     keep = ~lost
     ann = CorruptionAnnotation(
         noise_mask=(soft & keep)[keep],
@@ -243,13 +240,22 @@ def write_annotations(records, path) -> None:
 
 
 def read_annotations(path):
-    """Parse a sidecar file back into {frame_id: (noise indices, dropped indices)}."""
-    out = {}
+    """Parse a sidecar file back into {frame_id: (noise indices, dropped indices)};
+    a malformed file raises pointcloud.ScanParseError naming path and line."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
+    out = {}
     for k in range(0, len(lines), 3):
-        frame_id = lines[k].split(" ", 1)[1]
-        noise = np.array([int(t) for t in lines[k + 1].split()[1:]], dtype=int)
-        dropped = np.array([int(t) for t in lines[k + 2].split()[1:]], dtype=int)
-        out[frame_id] = (noise, dropped)
+        block = []
+        for n, tag in enumerate(("scan", "noise", "dropped"), k):
+            line = lines[n] if n < len(lines) else "<end of file>"
+            head, _, rest = line.partition(" ")
+            if head != tag:
+                raise ScanParseError(f"{path}:{n + 1}: expected a '{tag}' line, got {line!r}")
+            try:
+                block.append(rest if tag == "scan" else np.array(
+                    [int(t) for t in rest.split()], dtype=int))
+            except ValueError as exc:
+                raise ScanParseError(f"{path}:{n + 1}: non-integer index in {line!r}") from exc
+        out[block[0]] = (block[1], block[2])
     return out

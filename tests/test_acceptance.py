@@ -93,11 +93,13 @@ class TestCriterion2Gradients:
             cin, cout = int(rng.integers(1, 4)), int(rng.integers(1, 4))
             x = rng.standard_normal((3, 4, cin))
             w = rng.standard_normal((2, 2, cin, cout))
+            b = rng.standard_normal(cout)
             gy = rng.standard_normal((6, 8, cout))
-            _, cache = T.conv_transpose2x2(x, w)
-            gx, gw, _ = T.conv_transpose2x2_backward(cache, gy)
-            ok = self.check(lambda v: (T.conv_transpose2x2(v, w)[0] * gy).sum(), x, gx)
-            ok &= self.check(lambda v: (T.conv_transpose2x2(x, v)[0] * gy).sum(), w, gw)
+            _, cache = T.conv_transpose2x2(x, w, b)
+            gx, gw, gb = T.conv_transpose2x2_backward(cache, gy)
+            ok = self.check(lambda v: (T.conv_transpose2x2(v, w, b)[0] * gy).sum(), x, gx)
+            ok &= self.check(lambda v: (T.conv_transpose2x2(x, v, b)[0] * gy).sum(), w, gw)
+            ok &= self.check(lambda v: (T.conv_transpose2x2(x, w, v)[0] * gy).sum(), b, gb)
             return ok
 
         def linear_trial(rng):
@@ -263,14 +265,14 @@ def test_criterion_5_fog_branch_fidelity():
         # independent re-evaluation of the two response formulas
         r0 = cloud.ranges
         i0 = cloud.intensity
-        soft_oracle = (i0 * r0 ** 2 * params.beta * params.it_max
+        soft_oracle = (i0 * r0 ** 2 * params.beta * S.FOG_IT_MAX
                        > i0 * np.exp(-2.0 * params.alpha * r0)) & (r0 > 0)
         expected = soft_oracle[ann.source_index]
         total += len(out)
         mismatches += int((ann.noise_mask != expected).sum())
         # dropped points must come from the hard (attenuated) branch oracle
         i_hard = (i0 * np.exp(-2.0 * params.alpha * r0))
-        lost_oracle = ~soft_oracle & (r0 > 0) & (i_hard < params.floor) & (i_hard < i0)
+        lost_oracle = ~soft_oracle & (r0 > 0) & (i_hard < S.DETECT_FLOOR) & (i_hard < i0)
         assert set(ann.dropped) <= set(np.flatnonzero(lost_oracle | soft_oracle))
     report("criterion 5: fog soft/hard branch fidelity (10 scans)",
            mismatches == 0, f"{mismatches}/{total} mismatches")

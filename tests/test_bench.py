@@ -71,21 +71,21 @@ class TestManifest:
 
     def test_valid_manifest(self, tmp_path):
         d = self.manifest_files(tmp_path)
-        m = Manifest("t", (str(d / "a.bin"), str(d / "b.bin")),
+        m = Manifest((str(d / "a.bin"), str(d / "b.bin")),
                      (str(d / "q.bin"),), str(d / "db_poses.txt"),
                      str(d / "q_poses.txt"))
         m.validate()
 
     def test_overlapping_roles_rejected(self, tmp_path):
         d = self.manifest_files(tmp_path)
-        m = Manifest("t", (str(d / "a.bin"),), (str(d / "a.bin"),),
+        m = Manifest((str(d / "a.bin"),), (str(d / "a.bin"),),
                      str(d / "db_poses.txt"), str(d / "q_poses.txt"))
         with pytest.raises(ConfigError, match="disjoint"):
             m.validate()
 
     def test_missing_file_rejected(self, tmp_path):
         d = self.manifest_files(tmp_path)
-        m = Manifest("t", (str(d / "missing.bin"),), (str(d / "q.bin"),),
+        m = Manifest((str(d / "missing.bin"),), (str(d / "q.bin"),),
                      str(d / "db_poses.txt"), str(d / "q_poses.txt"))
         with pytest.raises(ConfigError, match="missing"):
             m.validate()
@@ -124,11 +124,10 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(protocol="oxford")
 
-    def test_param_overrides_take_precedence(self):
-        zero = weathersim.FogParams(alpha=0.0, beta=0.0)
-        cfg = small_config(param_overrides={"fog": {1: zero}})
-        assert cfg.params_for("fog", 1) is zero
-        assert cfg.params_for("fog", 2).beta == pytest.approx(0.02)
+
+def fixed_preset(monkeypatch, params):
+    """Every (kind, level) of the run corrupts with ``params``."""
+    monkeypatch.setattr(weathersim, "severity_preset", lambda kind, level, seed=0: params)
 
 
 class TestBenchmark:
@@ -142,11 +141,10 @@ class TestBenchmark:
         assert "fog" in report["sr"]
         assert 0.0 <= report["sr"]["fog"] <= 1.5
 
-    def test_zero_severity_sr_is_one(self):
+    def test_zero_severity_sr_is_one(self, monkeypatch):
         world = make_synthetic_world(seed=6, n_places=8, revisit_fraction=1.0)
-        zero = weathersim.FogParams(alpha=0.0, beta=0.0)
-        cfg = small_config(param_overrides={"fog": {1: zero, 2: zero, 3: zero}})
-        report = run_benchmark(world.database, world.queries, cfg)
+        fixed_preset(monkeypatch, weathersim.FogParams(alpha=0.0, beta=0.0))
+        report = run_benchmark(world.database, world.queries, small_config())
         assert report["sr"]["fog"] == pytest.approx(1.0)
         assert report["msr"] == pytest.approx(1.0)
 
@@ -169,19 +167,18 @@ class TestBenchmark:
         assert (tmp_path / "one" / "metrics.csv").exists()
         assert (tmp_path / "one" / "recall_at_n.csv").exists()
 
-    def test_stage_failure_names_stage(self):
+    def test_stage_failure_names_stage(self, monkeypatch):
         world = make_synthetic_world(seed=9, n_places=4, revisit_fraction=1.0)
-        bad = object()  # not a parameter set: the corruption stage blows up
-        cfg = small_config(levels=(1,), param_overrides={"fog": {1: bad}})
+        # not a parameter set: the corruption stage blows up
+        fixed_preset(monkeypatch, object())
         with pytest.raises(RuntimeError, match="evaluate_fog_1"):
-            run_benchmark(world.database, world.queries, cfg)
+            run_benchmark(world.database, world.queries, small_config(levels=(1,)))
 
-    def test_total_dropout_still_scores(self):
+    def test_total_dropout_still_scores(self, monkeypatch):
         # a corruption that erases every return degrades scores, not the run
         world = make_synthetic_world(seed=9, n_places=4, revisit_fraction=1.0)
-        bad = weathersim.FogParams(alpha=10.0, beta=0.0)
-        cfg = small_config(param_overrides={"fog": {1: bad, 2: bad, 3: bad}})
-        report = run_benchmark(world.database, world.queries, cfg)
+        fixed_preset(monkeypatch, weathersim.FogParams(alpha=10.0, beta=0.0))
+        report = run_benchmark(world.database, world.queries, small_config())
         assert report["rows"][1]["r1"] <= report["rows"][0]["r1"]
 
     def test_no_revisits_makes_metrics_undefined(self):

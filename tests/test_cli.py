@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -139,6 +140,13 @@ class TestInputErrors:
             rc = cli.main(["retrieve", "--db", str(cut), "--query", str(scan)])
             assert rc == cli.EXIT_DATA, n
 
+    def test_database_with_bytes_past_last_entry_exits_3(self, world_dir, db_path, tmp_path):
+        scan = sorted((world_dir / "database").glob("*.bin"))[0]
+        long = tmp_path / "long.db"
+        long.write_bytes(db_path.read_bytes() + bytes(40))
+        rc = cli.main(["retrieve", "--db", str(long), "--query", str(scan)])
+        assert rc == cli.EXIT_DATA
+
     def test_pose_line_missing_field_exits_3(self, world_dir, tmp_path):
         poses = tmp_path / "poses.txt"
         poses.write_text("0 1.0\n")
@@ -162,6 +170,27 @@ class TestInputErrors:
         poses.write_text("0 0.0 0.0\n")
         path = self.manifest(world_dir, tmp_path, query_poses=poses)
         assert self.bench({"manifest": str(path)}, tmp_path) == cli.EXIT_CONFIG
+
+    def test_manifest_without_database_scans_exits_2(self, world_dir, tmp_path):
+        # the empty database fails inside run_benchmark: a typed error, not exit 4
+        path = self.manifest(world_dir, tmp_path)
+        raw = json.loads(path.read_text())
+        raw["database"]["scans"] = []
+        path.write_text(json.dumps(raw))
+        assert self.bench({"manifest": str(path)}, tmp_path) == cli.EXIT_CONFIG
+
+    def test_zero_top_n_exits_2(self, tmp_path):
+        cfg = {"top_n": 0, "synthetic": {"n_places": 3}}
+        assert self.bench(cfg, tmp_path) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("cfg", [
+        {"synthetic": {"n_places": 4, "n_place": 99}, "kind": ["fog"], "levels": [1]},
+        {"synthetic": {"n_places": 4, "n_place": 99}, "kinds": ["fog"], "levels": [1]},
+        {"synthetic": {"n_places": 4}, "out_dir": "elsewhere"},
+    ], ids=["kind", "n_place", "out_dir"])
+    def test_unknown_config_key_exits_2(self, tmp_path, cfg):
+        assert self.bench(cfg, tmp_path) == cli.EXIT_CONFIG
+        assert not (tmp_path / "run").exists()
 
     def test_config_not_an_object_exits_2(self, tmp_path):
         assert self.bench(["synthetic"], tmp_path) == cli.EXIT_CONFIG
@@ -217,6 +246,23 @@ class TestBenchCommand:
         assert rc == 0
         assert (tmp_path / "run" / "report.json").exists()
         assert "alp_clean=" in capsys.readouterr().out
+
+    def test_outputs_pinned(self, tmp_path):
+        # every number, key and layout of the bench outputs for one config:
+        # a refactor that changes any of them changes these bytes
+        cfg = {"synthetic": {"n_places": 10}, "top_n": 10,
+               "projection": {"height": 32, "width": 128}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["bench", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+        pins = {
+            "report.json": "01889940ca60dfdcb910bd48a89215e64ded990fbd1702ec0ac9e5590502fa87",
+            "metrics.csv": "b6370cfa61fcc69b26057ac5099bb5def4fab2cd91d620491247aec6c5faf6e8",
+            "recall_at_n.csv": "0215c3e57c52c50f51b1d6f802029e7949969477515f9b4f437fad1c14cd7584",
+        }
+        for name, want in pins.items():
+            got = hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
+            assert got == want, name
 
     def test_bad_config_json(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -176,6 +176,16 @@ class TestDatabase:
             with pytest.raises(ScanParseError):
                 PlaceDatabase.load(tmp_path / "bad.bin")
 
+    def test_bytes_past_last_entry_are_data_errors(self, tmp_path):
+        db, _ = build_db(n=4)
+        db.save(tmp_path / "db.bin")
+        blob = (tmp_path / "db.bin").read_bytes()
+        # 40 junk bytes appended, and the entry count (bytes 16-19) set to 1
+        for bad in (blob + bytes(40), blob[:16] + (1).to_bytes(4, "little") + blob[20:]):
+            (tmp_path / "bad.bin").write_bytes(bad)
+            with pytest.raises(ScanParseError, match="past entry"):
+                PlaceDatabase.load(tmp_path / "bad.bin")
+
     def test_empty_query_rejected(self):
         with pytest.raises(ValueError):
             PlaceDatabase().query(make_descriptor(structured_cloud(1)))

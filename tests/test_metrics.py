@@ -82,8 +82,6 @@ class TestRecall:
         far = M.RetrievalRecord(1, ((0, 0.1),), (0.0, 0.0), {0: (99.0, 0.0)})
         near = M.RetrievalRecord(2, ((0, 0.1),), (0.0, 0.0), {0: (1.0, 0.0)})
         assert M.recall_at_n([far, near], 1) == 1.0
-        with pytest.raises(M.MetricError):
-            M.recall_at_n([far, near], 1, strict=True)
 
     def test_all_unreachable_errors(self):
         far = M.RetrievalRecord(1, ((0, 0.1),), (0.0, 0.0), {0: (99.0, 0.0)})

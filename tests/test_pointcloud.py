@@ -133,7 +133,7 @@ class TestBackProject:
         pts = np.concatenate([rng.normal(scale=15, size=(400, 3)),
                               rng.random((400, 1))], axis=1)
         img = project(PointCloud(pts), spec)
-        img2 = project(back_project(img, spec), spec)
+        img2 = project(back_project(img), spec)
         np.testing.assert_allclose(img2.dist, img.dist, atol=1e-12)
         np.testing.assert_allclose(img2.inten, img.inten, atol=1e-12)
         np.testing.assert_array_equal(img2.mask, img.mask)
@@ -142,7 +142,7 @@ class TestBackProject:
         spec = sym_spec()
         img = RangeImage(dist=np.zeros((8, 16)), inten=np.zeros((8, 16)),
                          mask=np.zeros((8, 16), dtype=bool), spec=sym_spec())
-        assert len(back_project(img, spec)) == 0
+        assert len(back_project(img)) == 0
 
     def test_single_pixel_inverts_projection_formulas(self):
         spec = sym_spec()
@@ -151,7 +151,7 @@ class TestBackProject:
         inten = np.zeros((8, 16))
         mask = np.zeros((8, 16), dtype=bool)
         dist[v, u], inten[v, u], mask[v, u] = 0.5, 0.7, True
-        cloud = back_project(RangeImage(dist, inten, mask, spec), spec)
+        cloud = back_project(RangeImage(dist, inten, mask, spec))
         assert len(cloud) == 1
         # hand inversion of the projection formulas at the pixel center
         az = math.pi * (1 - 2 * (u + 0.5) / spec.width)
@@ -172,7 +172,7 @@ class TestBackProject:
         r = rng.uniform(5.0, spec.max_range - 1.0, 30)
         pts = np.concatenate([rays[vs, us] * r[:, None], rng.random((30, 1))], axis=1)
         cloud = PointCloud(pts)
-        out = back_project(project(cloud, spec), spec)
+        out = back_project(project(cloud, spec))
         got = {tuple(np.round(p[:3], 4)) for p in out.points}
         want = {tuple(np.round(p[:3], 4)) for p in cloud.points}
         # collisions may drop points; every surviving point is an input point

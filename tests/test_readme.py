@@ -38,6 +38,15 @@ def test_synopsis_line_parses(line):
     assert args.command == argv[0]
 
 
+def test_bench_config_runs(tmp_path):
+    (config,) = blocks("json")
+    (tmp_path / "cfg.json").write_text(config)
+    rc = cli.main(["bench", "--config", str(tmp_path / "cfg.json"),
+                   "--out", str(tmp_path / "run")])
+    assert rc == 0
+    assert (tmp_path / "run" / "report.json").exists()
+
+
 def test_python_blocks_run(tmp_path, monkeypatch):
     world = make_synthetic_world(seed=0, n_places=2)
     write_scan(world.database[0].cloud, tmp_path / "000000.bin")

@@ -46,14 +46,16 @@ class TestConvTranspose:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(3, 4, 6))
         w = rng.normal(size=(2, 2, 6, 2), scale=0.3)
+        b = rng.normal(size=2, scale=0.1)
         proj = rng.normal(size=(6, 8, 2))
-        _, cache = T.conv_transpose2x2(x, w)
-        gx, gw, _ = T.conv_transpose2x2_backward(cache, proj)
-        check(gx, lambda v: np.sum(T.conv_transpose2x2(v, w)[0] * proj), x)
-        check(gw, lambda v: np.sum(T.conv_transpose2x2(x, v)[0] * proj), w)
+        _, cache = T.conv_transpose2x2(x, w, b)
+        gx, gw, gb = T.conv_transpose2x2_backward(cache, proj)
+        check(gx, lambda v: np.sum(T.conv_transpose2x2(v, w, b)[0] * proj), x)
+        check(gw, lambda v: np.sum(T.conv_transpose2x2(x, v, b)[0] * proj), w)
+        check(gb, lambda v: np.sum(T.conv_transpose2x2(x, w, v)[0] * proj), b)
 
     def test_upsamples_2x(self):
-        y, _ = T.conv_transpose2x2(np.ones((3, 4, 2)), np.ones((2, 2, 2, 1)))
+        y, _ = T.conv_transpose2x2(np.ones((3, 4, 2)), np.ones((2, 2, 2, 1)), np.zeros(1))
         assert y.shape == (6, 8, 1)
         np.testing.assert_allclose(y, 2.0)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from weatherlpr.pointcloud import PointCloud
+from weatherlpr.pointcloud import PointCloud, ScanParseError
 from weatherlpr import weathersim as W
 
 
@@ -40,7 +40,7 @@ class TestFog:
         r0 = cloud.ranges[ann.source_index]
         i0 = cloud.intensity[ann.source_index]
         i_hard = i0 * np.exp(-2 * p.alpha * r0)
-        i_soft = i0 * r0 ** 2 * p.beta * p.it_max
+        i_soft = i0 * r0 ** 2 * p.beta * W.FOG_IT_MAX
         np.testing.assert_array_equal(ann.noise_mask, (i_soft > i_hard) & (r0 > 0))
         hard = ~ann.noise_mask
         np.testing.assert_allclose(out.intensity[hard], i_hard[hard], atol=1e-12)
@@ -60,7 +60,7 @@ class TestFog:
         assert ann.dropped.size > 0
         i_hard = cloud.intensity[ann.dropped] * np.exp(
             -2 * p.alpha * cloud.ranges[ann.dropped])
-        assert np.all(i_hard < p.floor)
+        assert np.all(i_hard < W.DETECT_FLOOR)
         assert len(out) + ann.dropped.size == len(cloud)
 
 
@@ -160,6 +160,17 @@ class TestAnnotations:
             noise, dropped = back[fid]
             np.testing.assert_array_equal(noise, np.flatnonzero(ann.noise_mask))
             np.testing.assert_array_equal(dropped, ann.dropped)
+
+    @pytest.mark.parametrize("text, lineno", [
+        ("scan 000000\nnoise 1 2\n", 3),                   # block cut after noise
+        ("scan 000000\nnoise 1\ndrop 4\n", 3),              # wrong line tag
+        ("scan 000000\nnoise 1 two\ndropped\n", 2),         # non-integer index
+    ], ids=["cut-block", "wrong-tag", "non-integer"])
+    def test_malformed_sidecar_names_path_and_line(self, tmp_path, text, lineno):
+        path = tmp_path / "ann.txt"
+        path.write_text("scan 000009\nnoise \ndropped 3\n" + text)
+        with pytest.raises(ScanParseError, match=f"ann.txt:{lineno + 3}: "):
+            W.read_annotations(path)
 
     def test_per_scan_streams_differ(self):
         a = random_cloud(12, frame_id="000010")
