@@ -124,6 +124,14 @@ class RunConfig:
             raise ConfigError(f"unknown preprocessing: {self.preprocessing}")
         if self.protocol not in ("kitti", "nclt"):
             raise ConfigError(f"unknown protocol: {self.protocol}")
+        bad_kinds = [k for k in self.kinds if k not in weathersim.CORRUPTION_KINDS]
+        if bad_kinds:
+            raise ConfigError(f"unknown corruption kinds: {bad_kinds}")
+        bad_levels = [v for v in self.levels if v not in weathersim.SEVERITY_LEVELS]
+        if bad_levels:
+            raise ConfigError(f"unknown severity levels: {bad_levels}")
+        if not isinstance(self.top_n, int) or self.top_n < 1:
+            raise ConfigError(f"top_n must be an integer >= 1, got {self.top_n!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +290,7 @@ def evaluate_queries(db: lpr.PlaceDatabase, query_entries, config: RunConfig,
     """Retrieval records for one query set, applying optional corruption and
     restoration per query."""
     db_poses = dict(zip(db.ids, db.poses))
+    db_ids = np.asarray(db.ids)
     records = []
     for e in query_entries:
         cloud = e.cloud
@@ -294,7 +303,7 @@ def evaluate_queries(db: lpr.PlaceDatabase, query_entries, config: RunConfig,
                                    config.max_radius)
         exclude = None
         if config.exclude_recent:
-            exclude = [i for i in db.ids if abs(i - e.scan_id) <= config.exclude_recent]
+            exclude = db_ids[np.abs(db_ids - e.scan_id) <= config.exclude_recent].tolist()
         ranked = db.query(desc, top_n=config.top_n, exclude_ids=exclude)
         records.append(metrics.RetrievalRecord(
             query_id=e.scan_id, matches=tuple(ranked),

@@ -178,6 +178,8 @@ def cmd_bench(args) -> int:
         raise ConfigError(f"config {args.config} is not a JSON object")
     config = _bench_config(raw, args)
 
+    if "synthetic" in raw and "manifest" in raw:
+        raise ConfigError("config gives both 'synthetic' and 'manifest'; give one")
     if "synthetic" in raw:
         try:
             world = bench.make_synthetic_world(

@@ -48,29 +48,39 @@ def make_descriptor(cloud: PointCloud, rings: int = DEFAULT_RINGS,
     return ScanContext(cells=cells, ring_key=occupied.mean(axis=1))
 
 
+def _shift_distances(q_cells: np.ndarray, cand_cells: np.ndarray) -> np.ndarray:
+    """Mean per-column cosine distance of a query (R, S) to each candidate
+    (N, R, S) at every column shift: (N, S), inf where no column pair is
+    non-empty in both.
+
+    Shift s pairs query column j with candidate column (j - s) mod S. The
+    candidates' columns are normalised in place, so pass a scratch copy.
+    """
+    S = q_cells.shape[1]
+    nq = np.sqrt(np.einsum("rs,rs->s", q_cells, q_cells))
+    nc = np.sqrt(np.einsum("nrs,nrs->ns", cand_cells, cand_cells))   # no (N, R, S) temporary
+    # an empty column has norm 0 and stays 0; dividing it by 1 avoids a masked divide
+    q_hat = q_cells / np.where(nq > 0, nq, 1.0)
+    cand_cells /= np.where(nc > 0, nc, 1.0)[:, None, :]
+    roll = (np.arange(S)[:, None] + np.arange(S)) % S            # roll[jb, s] = jb + s
+    cos_sum = np.zeros((len(cand_cells), S))
+    for r in range(q_cells.shape[0]):
+        cos_sum += cand_cells[:, r, :] @ q_hat[r, roll]
+    counts = (nc > 0).astype(float) @ (nq > 0)[roll].astype(float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(counts > 0, (counts - cos_sum) / (2.0 * counts), np.inf)
+
+
 def sc_distance(a: ScanContext, b: ScanContext):
     """Min over column shifts of the mean per-column cosine distance.
 
     Column pairs where either column is all-zero are skipped. Returns
-    (distance in [0, 1], minimizing shift).
+    (distance in [0, 1], minimizing shift); (1.0, 0) when no shift has a
+    non-empty pair.
     """
     if a.cells.shape != b.cells.shape:
         raise ValueError(f"descriptor shapes differ: {a.cells.shape} vs {b.cells.shape}")
-    A, B = a.cells, b.cells
-    S = A.shape[1]
-    na = np.linalg.norm(A, axis=0)
-    nb = np.linalg.norm(B, axis=0)
-    pair_valid = np.outer(na > 0, nb > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cos = (A.T @ B) / np.outer(na, nb)
-    dist = np.where(pair_valid, (1.0 - cos) / 2.0, 0.0)
-    # column jb = (j - shift) mod S pairs with column j at each shift
-    j = np.arange(S)
-    jb = (j[None, :] - j[:, None]) % S          # (shift, j)
-    counts = pair_valid[j[None, :], jb].sum(axis=1)
-    sums = dist[j[None, :], jb].sum(axis=1)
-    with np.errstate(invalid="ignore"):
-        per_shift = np.where(counts > 0, sums / np.maximum(counts, 1), np.inf)
+    per_shift = _shift_distances(a.cells, b.cells[None].astype(float))[0]
     if not np.isfinite(per_shift).any():
         return 1.0, 0
     best = int(np.argmin(per_shift))
@@ -86,44 +96,56 @@ class PlaceDatabase:
         self.ids: list[int] = []
         self.poses: list[tuple[float, float]] = []
         self.descriptors: list[ScanContext] = []
+        self._id_set: set[int] = set()
+        self._index = None  # (ring-key matrix (N, R), id array (N,)), built on demand
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def add(self, scan_id: int, pose, descriptor: ScanContext) -> None:
-        if scan_id in self.ids:
+        if scan_id in self._id_set:
             raise ValueError(f"duplicate scan id: {scan_id}")
         if descriptor.cells.shape != (self.rings, self.sectors):
             raise ValueError("descriptor shape does not match database")
         self.ids.append(int(scan_id))
+        self._id_set.add(int(scan_id))
         self.poses.append((float(pose[0]), float(pose[1])))
         self.descriptors.append(descriptor)
+        self._index = None
 
-    def _ring_key_matrix(self) -> np.ndarray:
-        return np.stack([d.ring_key for d in self.descriptors])
+    def _ring_keys_and_ids(self):
+        if self._index is None:
+            self._index = (np.stack([d.ring_key for d in self.descriptors]),
+                           np.array(self.ids))
+        return self._index
 
     def candidates(self, q: ScanContext, count: int) -> np.ndarray:
         """Indices of the ``count`` nearest entries by ring-key L2 distance."""
-        keys = self._ring_key_matrix()
+        keys, ids = self._ring_keys_and_ids()
         d = np.linalg.norm(keys - q.ring_key, axis=1)
-        order = np.lexsort((np.array(self.ids), d))
-        return order[:count]
+        return np.lexsort((ids, d))[:count]
 
     def query(self, q: ScanContext, top_n: int = 1, exclude_ids=None):
-        """Ranked (scan id, distance) list; ties broken by lower scan id."""
+        """Ranked (scan id, distance) list; ties broken by lower scan id.
+
+        Every ring-key candidate is scored at every column shift in one
+        call of the distance kernel.
+        """
         if not self.ids:
             raise ValueError("query against an empty database")
         if top_n < 1:
             raise ValueError("top_n must be >= 1")
-        exclude = set(exclude_ids or ())
-        cand = [k for k in self.candidates(q, CANDIDATE_FACTOR * top_n)
-                if self.ids[k] not in exclude]
-        scored = []
-        for k in cand:
-            d, _ = sc_distance(q, self.descriptors[k])
-            scored.append((d, self.ids[k]))
-        scored.sort()
-        return [(sid, d) for d, sid in scored[:top_n]]
+        if q.cells.shape != (self.rings, self.sectors):
+            raise ValueError("descriptor shape does not match database")
+        cand = self.candidates(q, CANDIDATE_FACTOR * top_n)
+        ids = self._ring_keys_and_ids()[1][cand]
+        if exclude_ids is not None:
+            keep = ~np.isin(ids, np.fromiter(exclude_ids, dtype=np.int64))
+            cand, ids = cand[keep], ids[keep]
+        cells = np.array([self.descriptors[k].cells for k in cand], dtype=float)
+        d = _shift_distances(q.cells, cells.reshape(-1, self.rings, self.sectors)).min(axis=1)
+        d[~np.isfinite(d)] = 1.0
+        return [(int(ids[k]), float(d[k])) for k in np.lexsort((ids, d))[:top_n]]
 
     def save(self, path) -> None:
         """Binary layout: magic, version, R, S, count, then per entry

@@ -119,10 +119,11 @@ class TestPoseFile:
 
 class TestRunConfig:
     def test_invalid_choices_rejected(self):
-        with pytest.raises(ConfigError):
-            RunConfig(preprocessing="magic")
-        with pytest.raises(ConfigError):
-            RunConfig(protocol="oxford")
+        for bad in ({"preprocessing": "magic"}, {"protocol": "oxford"},
+                    {"kinds": ("fog", "sleet")}, {"levels": (1, 4)}, {"levels": (0,)},
+                    {"top_n": 0}, {"top_n": "5"}):
+            with pytest.raises(ConfigError):
+                RunConfig(**bad)
 
 
 def fixed_preset(monkeypatch, params):

@@ -192,6 +192,15 @@ class TestInputErrors:
         assert self.bench(cfg, tmp_path) == cli.EXIT_CONFIG
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("cfg", [
+        {"synthetic": {"n_places": 3}, "manifest": "nowhere.json", "kinds": ["fog"],
+         "levels": [1]},
+        {"synthetic": {"n_places": 40}, "kinds": ["fog", "sleet"]},
+    ], ids=["both_sources", "sleet"])
+    def test_rejected_before_any_stage_runs(self, tmp_path, cfg):
+        assert self.bench(cfg, tmp_path) == cli.EXIT_CONFIG
+        assert not (tmp_path / "run" / "report.json").exists()
+
     def test_config_not_an_object_exits_2(self, tmp_path):
         assert self.bench(["synthetic"], tmp_path) == cli.EXIT_CONFIG
 

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from weatherlpr.lpr import (PlaceDatabase, ScanContext, make_descriptor,
-                            sc_distance)
+from weatherlpr.lpr import (CANDIDATE_FACTOR, PlaceDatabase, ScanContext,
+                            make_descriptor, sc_distance)
 from weatherlpr.pointcloud import PointCloud, ScanParseError
 
 
@@ -77,6 +79,14 @@ class TestDistance:
         assert d == pytest.approx(0.0, abs=1e-9)
         assert shift in (k, 60 - k)
 
+    def test_shift_pairs_column_j_with_column_j_minus_shift(self):
+        a = make_descriptor(structured_cloud(3))
+        for k in (1, 7, 59):
+            b = ScanContext(np.roll(a.cells, k, axis=1), a.ring_key)
+            d, shift = sc_distance(a, b)
+            assert d == pytest.approx(0.0, abs=1e-12)
+            assert shift == (60 - k) % 60
+
     def test_symmetry_and_range(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
@@ -102,6 +112,40 @@ def build_db(n=30, seed=5):
         clouds.append(cloud)
         db.add(k, (float(k), 0.0), make_descriptor(cloud))
     return db, clouds
+
+
+def brute_distance(a, b):
+    """Min over column shifts of the mean cosine distance of the column pairs
+    non-empty in both, 1.0 when no shift has one; shift s pairs column j of
+    ``a`` with column (j - s) mod S of ``b``."""
+    best = np.inf
+    nb = np.linalg.norm(b, axis=0)
+    for s in range(a.shape[1]):
+        rolled = np.roll(a, -s, axis=1)
+        na = np.linalg.norm(rolled, axis=0)
+        ok = (na > 0) & (nb > 0)
+        if ok.any():
+            cos = (rolled * b).sum(axis=0)[ok] / (na[ok] * nb[ok])
+            best = min(best, float(np.mean((1.0 - cos) / 2.0)))
+    return 1.0 if best == np.inf else best
+
+
+def brute_query(db, q, top_n, exclude=()):
+    """The ring-key preselection, then every survivor scored by
+    brute_distance; ties go to the lower id."""
+    keys = np.stack([d.ring_key for d in db.descriptors])
+    by_key = sorted(range(len(db)),
+                    key=lambda k: (np.linalg.norm(keys[k] - q.ring_key), db.ids[k]))
+    cand = [k for k in by_key[:CANDIDATE_FACTOR * top_n] if db.ids[k] not in exclude]
+    scored = sorted((brute_distance(q.cells, db.descriptors[k].cells), db.ids[k])
+                    for k in cand)
+    return [(sid, d) for d, sid in scored[:top_n]]
+
+
+def assert_matches_brute(got, want):
+    assert [sid for sid, _ in got] == [sid for sid, _ in want]
+    for (_, d), (_, bd) in zip(got, want):
+        assert d == pytest.approx(bd, abs=1e-12)
 
 
 class TestDatabase:
@@ -189,3 +233,63 @@ class TestDatabase:
     def test_empty_query_rejected(self):
         with pytest.raises(ValueError):
             PlaceDatabase().query(make_descriptor(structured_cloud(1)))
+
+    def test_preselected_query_matches_brute_force(self):
+        db, clouds = build_db(n=250)   # 3 * CANDIDATE_FACTOR of 250 are scored
+        for cloud in (clouds[13], clouds[77], structured_cloud(999)):
+            q = make_descriptor(cloud)
+            assert_matches_brute(db.query(q, top_n=3), brute_query(db, q, 3))
+            exclude = {13, 77, 40, 41, 42}
+            assert_matches_brute(db.query(q, top_n=3, exclude_ids=exclude),
+                                 brute_query(db, q, 3, exclude))
+
+    def test_identical_descriptors_tie_to_lower_id(self):
+        db = PlaceDatabase()
+        for k in range(30):
+            cloud = structured_cloud(7 if k == 21 else 5 + k)   # ids 2 and 21 share a scene
+            db.add(k, (float(k), 0.0), make_descriptor(cloud))
+        got = db.query(make_descriptor(structured_cloud(999)), top_n=len(db))
+        ids = [sid for sid, _ in got]
+        dist = dict(got)
+        assert dist[2] == dist[21]
+        assert ids.index(21) == ids.index(2) + 1
+
+    def test_empty_descriptors_score_one(self):
+        db, clouds = build_db(n=5)
+        empty = make_descriptor(PointCloud(np.empty((0, 4))))
+        db.add(99, (0.0, 0.0), empty)
+        got = dict(db.query(make_descriptor(clouds[2]), top_n=len(db)))
+        assert got[99] == 1.0
+        assert db.query(empty, top_n=len(db)) == [(sid, 1.0) for sid in sorted(db.ids)]
+
+    def test_loaded_database_matches_brute_force(self, tmp_path):
+        db, clouds = build_db(n=40)
+        db.save(tmp_path / "db.bin")
+        back = PlaceDatabase.load(tmp_path / "db.bin")
+        for k in (3, 17):
+            q = make_descriptor(rot_z(clouds[k], 0.3))
+            assert_matches_brute(back.query(q, top_n=2), brute_query(back, q, 2))
+
+    def test_add_after_query_is_seen(self):
+        db, clouds = build_db(n=10)
+        q = make_descriptor(structured_cloud(999))
+        assert db.query(q, top_n=1)[0][0] != 50
+        db.add(50, (0.0, 0.0), q)
+        assert db.query(q, top_n=1)[0] == (50, pytest.approx(0.0, abs=1e-12))
+        assert len(db.query(q, top_n=len(db))) == 11
+
+    def test_query_memory_bounded(self):
+        rng = np.random.default_rng(8)
+        db = PlaceDatabase()
+        for k in range(600):
+            cells = rng.uniform(-2.0, 5.0, (20, 60)) * (rng.random((1, 60)) < 0.8)
+            db.add(k, (float(k), 0.0), ScanContext(cells, (cells != 0).mean(axis=1)))
+        q = db.descriptors[123]
+        tracemalloc.start()
+        try:
+            got = db.query(q, top_n=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got[0][0] == 123
+        assert peak <= 4 * 2**20, f"{peak / 2**20:.1f} MB"
