@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -323,21 +322,15 @@ def run_benchmark(database_entries, query_entries, config: RunConfig,
     use_net = net if config.preprocessing == "restorenet" else None
     method = config.preprocessing
 
-    timings = {}
-    t0 = time.perf_counter()
     db = build_database(database_entries, config)
-    timings["build_database"] = time.perf_counter() - t0
 
     def stage(label, fn):
-        t = time.perf_counter()
         try:
-            out = fn()
+            return fn()
         except ValueError:
             raise  # ConfigError, ScanParseError, MetricError keep their exit code
         except Exception as exc:
             raise RuntimeError(f"benchmark stage '{label}' failed: {exc}") from exc
-        timings[label] = time.perf_counter() - t
-        return out
 
     clean_records = stage("evaluate_clean", lambda: evaluate_queries(
         db, query_entries, config, net=use_net))
@@ -364,12 +357,7 @@ def run_benchmark(database_entries, query_entries, config: RunConfig,
     for kind, alps in per_kind_alps.items():
         if len(alps) == 3:
             sr[kind] = metrics.stability_rate(alps, alp_clean)
-    msr_value = None
-    if sr:
-        if len(sr) == 3:
-            msr_value = metrics.msr(list(sr.values()))
-        else:
-            msr_value = float(sum(sr.values())) / len(sr)
+    msr_value = float(sum(sr.values())) / len(sr) if sr else None
 
     report = {
         # the report must not depend on where it is written
@@ -386,9 +374,6 @@ def run_benchmark(database_entries, query_entries, config: RunConfig,
         metrics.write_csv(rows, os.path.join(config.out_dir, "metrics.csv"))
         _write_recall_curves(clean_records, config,
                              os.path.join(config.out_dir, "recall_at_n.csv"))
-        with open(os.path.join(config.out_dir, "timings.log"), "w") as fh:
-            for label, secs in timings.items():
-                fh.write(f"{label} {secs:.3f}s\n")
     return report
 
 

@@ -43,9 +43,15 @@ def make_descriptor(cloud: PointCloud, rings: int = DEFAULT_RINGS,
         ring = np.minimum((r / max_radius * rings).astype(int), rings - 1)
         sector = np.minimum((az / (2.0 * np.pi) * sectors).astype(int), sectors - 1)
         np.maximum.at(cells, (ring, sector), z)
-    occupied = np.isfinite(cells)
-    cells[~occupied] = 0.0
-    return ScanContext(cells=cells, ring_key=occupied.mean(axis=1))
+    cells[~np.isfinite(cells)] = 0.0
+    return ScanContext(cells=cells, ring_key=_ring_key(cells))
+
+
+def _ring_key(cells: np.ndarray) -> np.ndarray:
+    """Fraction of occupied sectors per ring. A bin is occupied when its
+    cell is non-zero, as the distance kernel reads it, so PlaceDatabase.load,
+    which stores only the cells, rebuilds the same key."""
+    return (cells != 0).mean(axis=1)
 
 
 def _shift_distances(q_cells: np.ndarray, cand_cells: np.ndarray) -> np.ndarray:
@@ -175,8 +181,7 @@ class PlaceDatabase:
                 sid, px, py = struct.unpack("<qdd", read_exact(fh, 24, path))
                 cells = np.frombuffer(read_exact(fh, 4 * rings * sectors, path),
                                       dtype="<f4").reshape(rings, sectors).astype(float)
-                occupied = cells != 0.0
-                db.add(sid, (px, py), ScanContext(cells=cells, ring_key=occupied.mean(axis=1)))
+                db.add(sid, (px, py), ScanContext(cells=cells, ring_key=_ring_key(cells)))
             if fh.read(1):
                 raise ScanParseError(f"{path}: bytes past entry {count} at byte {fh.tell() - 1}")
         return db

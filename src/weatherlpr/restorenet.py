@@ -65,8 +65,9 @@ class OpLayer:
     def __init__(self, op, w: Param, b: Param, **kw):
         self.op, self.w, self.b, self.kw = op, w, b, kw
 
-    def forward(self, x):
-        y, self._cache = getattr(ops, self.op)(x, self.w.value, self.b.value, **self.kw)
+    def forward(self, x, keep=True):
+        y, cache = getattr(ops, self.op)(x, self.w.value, self.b.value, **self.kw)
+        self._cache = cache if keep else None
         return y
 
     def backward(self, gy):
@@ -119,24 +120,22 @@ class FeatureMix:
             raise ValueError("channel mixing with group size 2 needs even channels")
         self.c = channels
         self.cap = token_cap
-        self._keep_probs = True  # off while ResLPRNet.forward runs
         self.gconv = Conv2d(rng, channels, channels, k=3, groups=channels // 2,
                             name=f"{name}.gconv")
         self.norm = Norm(channels, axes=(0, 1), name=f"{name}.bn")
         self.fc = Linear(rng, channels, channels, name=f"{name}.fc")
 
-    def forward(self, x):
+    def forward(self, x, keep=True):
         h, w, c = x.shape
         t = x.reshape(-1, c)
         stride = _pool_stride(t.shape[0], self.cap)
         tk = t[::stride]
         # keys scaled before the product (TransformerFuse scales after it):
         # the two orders round differently, and training amplifies that
-        s, acache = ops.attention(t, tk.T / math.sqrt(c), tk, 1.0,
-                                  keep=self._keep_probs)
-        self._attn_cache = (t, tk, acache, stride, (h, w, c))
+        s, acache = ops.attention(t, tk.T / math.sqrt(c), tk, 1.0, keep=keep)
+        self._attn_cache = (t, tk, acache, stride, (h, w, c)) if keep else None
         fs = s.reshape(h, w, c)
-        out = self.fc.forward(self.norm.forward(self.gconv.forward(fs)))
+        out = self.fc.forward(self.norm.forward(self.gconv.forward(fs, keep), keep), keep)
         return out
 
     def backward(self, gy):
@@ -160,7 +159,6 @@ class TransformerFuse:
         c = channels
         self.c = c
         self.cap = token_cap
-        self._keep_probs = True  # off while ResLPRNet.forward runs
         self.wq = Linear(rng, c, c, name=f"{name}.wq")
         self.wk = Linear(rng, c, c, name=f"{name}.wk")
         self.wv = Linear(rng, c, c, name=f"{name}.wv")
@@ -168,23 +166,22 @@ class TransformerFuse:
         self.ff1 = Linear(rng, c, 2 * c, name=f"{name}.ff1")
         self.ff2 = Linear(rng, 2 * c, c, name=f"{name}.ff2")
 
-    def forward(self, fw, fc):
+    def forward(self, fw, fc, keep=True):
         if fw.shape != fc.shape:
             raise ValueError(f"fuse inputs differ: {fw.shape} vs {fc.shape}")
         h, w, c = fw.shape
-        q = self.wq.forward(fw).reshape(-1, c)
-        k = self.wk.forward(fc).reshape(-1, c)
-        v = self.wv.forward(fc).reshape(-1, c)
+        q = self.wq.forward(fw, keep).reshape(-1, c)
+        k = self.wk.forward(fc, keep).reshape(-1, c)
+        v = self.wv.forward(fc, keep).reshape(-1, c)
         stride = _pool_stride(k.shape[0], self.cap)
         kp, vp = k[::stride], v[::stride]
-        attn, acache = ops.attention(q, kp.T, vp, math.sqrt(c),
-                                     keep=self._keep_probs)
+        attn, acache = ops.attention(q, kp.T, vp, math.sqrt(c), keep=keep)
         attn = attn.reshape(h, w, c)
-        fatt = self.norm.forward(fw + attn)
-        hmid = self.ff1.forward(fatt)
+        fatt = self.norm.forward(fw + attn, keep)
+        hmid = self.ff1.forward(fatt, keep)
         hact, gcache = ops.gelu(hmid)
-        out = fatt + self.ff2.forward(hact)
-        self._cache = (q, kp, acache, stride, gcache, (h, w, c))
+        out = fatt + self.ff2.forward(hact, keep)
+        self._cache = (q, kp, acache, stride, gcache, (h, w, c)) if keep else None
         return out
 
     def backward(self, gy):
@@ -219,13 +216,13 @@ class ContextGuide:
         self.ce = Param(f"{name}.ce", _init(rng, (n_contexts, channels), channels))
         self.mlp = Linear(rng, channels, channels, name=f"{name}.mlp")
 
-    def forward(self, x):
-        pooled, self._gap_cache = ops.gap(x)
-        logits = self.fc.forward(pooled)
-        w, self._sm_cache = ops.softmax(logits)
+    def forward(self, x, keep=True):
+        pooled, gap_cache = ops.gap(x)
+        logits = self.fc.forward(pooled, keep)
+        w, sm_cache = ops.softmax(logits)
         ctx = w @ self.ce.value            # (c,)
-        fcb = self.mlp.forward(ctx)
-        self._w = w
+        fcb = self.mlp.forward(ctx, keep)
+        self._cache = (gap_cache, sm_cache, w) if keep else None
         return x + fcb[None, None, :]
 
     def weights(self, x):
@@ -235,13 +232,14 @@ class ContextGuide:
         return w
 
     def backward(self, gy):
+        gap_cache, sm_cache, w = self._cache
         gfcb = gy.sum(axis=(0, 1))
         gctx = self.mlp.backward(gfcb)
-        self.ce.grad += np.outer(self._w, gctx)
+        self.ce.grad += np.outer(w, gctx)
         gw = self.ce.value @ gctx
-        glog = ops.softmax_backward(self._sm_cache, gw)
+        glog = ops.softmax_backward(sm_cache, gw)
         gpooled = self.fc.backward(glog)
-        gx = gy + ops.gap_backward(self._gap_cache, gpooled)
+        gx = gy + ops.gap_backward(gap_cache, gpooled)
         return gx
 
     def params(self):
@@ -263,14 +261,14 @@ class WatEncodeBlock:
         sb = wavelet.dwt2(x)
         return np.concatenate([sb.ll, sb.lh, sb.hl, sb.hh], axis=-1)
 
-    def forward(self, x):
+    def forward(self, x, keep=True):
         h, w, _ = x.shape
         if h % 2 or w % 2:
             raise ValueError(f"encoder block needs even spatial dims, got {h}x{w}")
         fws = self.subbands(x)
-        fc = self.mix.forward(fws)
-        fwb = self.fuse.forward(fws, fc)
-        return self.proj.forward(fwb)
+        fc = self.mix.forward(fws, keep)
+        fwb = self.fuse.forward(fws, fc, keep)
+        return self.proj.forward(fwb, keep)
 
     def backward(self, gy):
         gfwb = self.proj.backward(gy)
@@ -301,13 +299,13 @@ class WatDecodeBlock:
         self.mix = FeatureMix(rng, cout, token_cap, name=f"{name}.mix")
         self.fuse = TransformerFuse(rng, cout, token_cap, name=f"{name}.fuse")
 
-    def forward(self, x, skip):
-        up = self.proj.forward(self.upsample.forward(x))
+    def forward(self, x, skip, keep=True):
+        up = self.proj.forward(self.upsample.forward(x, keep), keep)
         if up.shape != skip.shape:
             raise ValueError(f"skip shape {skip.shape} != decoder path {up.shape}")
         merged = up + skip
-        fc = self.mix.forward(merged)
-        return self.fuse.forward(merged, fc)
+        fc = self.mix.forward(merged, keep)
+        return self.fuse.forward(merged, fc, keep)
 
     def backward(self, gy):
         gmerged, gfc = self.fuse.backward(gy)
@@ -348,6 +346,7 @@ class ResLPRNet:
         # identity-initialized residual path: the untrained net is a no-op
         self.outconv = Conv2d(rng, c, 2, k=3, name="out",
                               w_init=np.zeros((3, 3, c, 2)))
+        self._clip_mask = None  # set by forward_array when a backward may follow
 
     def params(self):
         out = self.embed.params()
@@ -363,36 +362,40 @@ class ResLPRNet:
         for p in self.params():
             p.zero_grad()
 
-    def encode(self, f0):
+    def encode(self, f0, keep=True):
         """Encoder + bottleneck; returns (bottleneck features, skip list)."""
         skips = [f0]
         x = f0
         for enc in self.encoders:
-            x = enc.forward(x)
+            x = enc.forward(x, keep)
             skips.append(x)
-        return self.bottleneck.forward(x, x), skips
+        return self.bottleneck.forward(x, x, keep), skips
 
-    def forward_array(self, img: np.ndarray) -> np.ndarray:
+    def forward_array(self, img: np.ndarray, keep=True) -> np.ndarray:
         """(H, W, 2) -> (H, W, 2); H, W must be divisible by 8 (the public
-        forward() pads and crops transparently)."""
+        forward() pads and crops transparently). With ``keep`` off no layer
+        stores backward state, so no backward_input may follow."""
         h, w, _ = img.shape
         if h % 8 or w % 8:
             raise ValueError(f"spatial dims must be divisible by 8, got {h}x{w}")
         if h < 16 or w < 16:
             raise ValueError(f"spatial dims must be at least 16, got {h}x{w}")
-        f0 = self.embed.forward(img)
-        x, skips = self.encode(f0)
+        f0 = self.embed.forward(img, keep)
+        x, skips = self.encode(f0, keep)
         for k, (dec, ctg) in enumerate(zip(self.decoders, self.guides)):
-            x = dec.forward(x, skips[2 - k])
-            x = ctg.forward(x)
-        delta = self.outconv.forward(x)
+            x = dec.forward(x, skips[2 - k], keep)
+            x = ctg.forward(x, keep)
+        delta = self.outconv.forward(x, keep)
         pre = img + delta
-        self._clip_mask = (pre >= 0.0) & (pre <= 1.0)
+        self._clip_mask = ((pre >= 0.0) & (pre <= 1.0)) if keep else None
         return np.clip(pre, 0.0, 1.0)
 
     def backward_input(self, gy: np.ndarray) -> np.ndarray:
         """Accumulate parameter grads for the last forward_array call;
         returns the gradient with respect to the input image."""
+        if self._clip_mask is None:
+            raise RuntimeError("backward_input follows only a forward_array call "
+                               "that kept its backward state")
         g = gy * self._clip_mask
         gimg = g.copy()  # residual path
         gx = self.outconv.backward(g)
@@ -413,24 +416,16 @@ class ResLPRNet:
     def forward(self, img: RangeImage) -> RangeImage:
         """Restore a range image; pads to /8-divisible extents and crops.
 
-        For inference: the attention blocks keep no probabilities, so no
-        backward_input may follow. Training calls forward_array instead.
+        For inference: no layer keeps backward state, so a backward_input
+        call after it raises RuntimeError. Training calls forward_array
+        instead.
         """
         arr = img.channels()
         h, w, _ = arr.shape
         ph, pw = (-h) % 8, (-w) % 8
         if ph or pw:
             arr = np.pad(arr, [(0, ph), (0, pw), (0, 0)], mode="reflect")
-        attention = [self.bottleneck]
-        for block in self.encoders + self.decoders:
-            attention += [block.mix, block.fuse]
-        for block in attention:
-            block._keep_probs = False
-        try:
-            out = self.forward_array(arr)[:h, :w]
-        finally:
-            for block in attention:
-                block._keep_probs = True
+        out = self.forward_array(arr, keep=False)[:h, :w]
         dist, inten = out[..., 0], out[..., 1]
         # restoration can drop returns (floor) but never invent them: pixels
         # empty in the input stay empty

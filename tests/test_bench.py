@@ -164,7 +164,6 @@ class TestBenchmark:
             run_benchmark(world.database, world.queries, cfg)
         assert ((tmp_path / "one" / "report.json").read_bytes()
                 == (tmp_path / "two" / "report.json").read_bytes())
-        assert (tmp_path / "one" / "timings.log").exists()
         assert (tmp_path / "one" / "metrics.csv").exists()
         assert (tmp_path / "one" / "recall_at_n.csv").exists()
 

@@ -197,6 +197,27 @@ class TestDatabase:
         for (_, da), (_, db_) in zip(a, b):
             assert da == pytest.approx(db_, abs=1e-5)
 
+    def test_round_trip_keeps_queries_on_zero_heights(self, tmp_path):
+        # a bin whose highest point is at z = 0 counts as occupied in memory
+        # and after load alike, so preselection picks the same candidates
+        rng = np.random.default_rng(22)
+
+        def cloud(n=200):
+            r = 80.0 * np.sqrt(rng.random(n))
+            th = rng.uniform(0.0, 2 * np.pi, n)
+            z = rng.integers(0, 3, n).astype(float)
+            return PointCloud(np.column_stack([r * np.cos(th), r * np.sin(th), z,
+                                               np.zeros(n)]))
+
+        db = PlaceDatabase()
+        for k in range(300):
+            db.add(k, (float(k), 0.0), make_descriptor(cloud()))
+        db.save(tmp_path / "db.bin")
+        back = PlaceDatabase.load(tmp_path / "db.bin")
+        for _ in range(10):
+            q = make_descriptor(cloud())
+            assert back.query(q, top_n=2) == db.query(q, top_n=2)
+
     def test_every_truncation_is_data_error(self, tmp_path):
         db = PlaceDatabase(rings=4, sectors=6)
         for k, seed in enumerate((1, 2, 3)):

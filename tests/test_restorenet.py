@@ -217,8 +217,9 @@ class TestForward:
         assert np.all(out.dist[~out.mask] == 0.0)
 
     def test_inference_memory_bounded_at_default_projection(self):
-        # forward keeps no attention probabilities; when every block kept
-        # them, one 64x1920 restoration peaked at about 2.97 GB
+        # forward keeps no backward state; when every layer but the attention
+        # kept its cache, one 64x1920 restoration peaked at about 504 MB and
+        # still held 446 MB after it returned
         rng = np.random.default_rng(19)
         net = R.ResLPRNet(R.NetConfig(seed=0))
         w = net.outconv.w.value
@@ -229,14 +230,53 @@ class TestForward:
                          mask=np.ones(shape, dtype=bool), spec=spec)
         tracemalloc.start()
         try:
-            net.forward(img)
-            peak = tracemalloc.get_traced_memory()[1]
+            out = net.forward(img)
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2**30, f"peak {peak / 2**20:.0f} MB"
+        assert peak <= 256 * 2**20, f"peak {peak / 2**20:.0f} MB"
+        # the restored image itself is about 2 MB
+        assert held <= 16 * 2**20, f"{held / 2**20:.0f} MB held after forward"
+        assert out.dist.shape == shape
         # forward_array still keeps what backward_input needs
         check_input_gradient(net, rng.uniform(0.3, 0.7, (16, 16, 2)),
                              rng.normal(size=(16, 16, 2)), rng, samples=6)
+
+    def test_no_backward_after_forward(self):
+        rng = np.random.default_rng(20)
+        spec = ProjectionSpec(height=16, width=24, fov_up=0.05, fov_down=-0.4,
+                              max_range=80.0)
+        img = RangeImage(dist=rng.random((16, 24)), inten=rng.random((16, 24)),
+                         mask=np.ones((16, 24), dtype=bool), spec=spec)
+        net = small_net(c=4)
+        with pytest.raises(RuntimeError, match="forward_array"):
+            net.backward_input(np.ones((16, 24, 2)))
+        net.forward_array(img.channels())
+        net.forward(img)
+        with pytest.raises(RuntimeError, match="forward_array"):
+            net.backward_input(np.ones((16, 24, 2)))
+
+    def test_forward_is_cropped_masked_forward_array(self):
+        # forward keeps nothing for a backward, but computes the same values
+        rng = np.random.default_rng(21)
+        h, w = 13, 29
+        spec = ProjectionSpec(height=h, width=w, fov_up=0.05, fov_down=-0.4,
+                              max_range=80.0)
+        mask = rng.random((h, w)) < 0.8
+        img = RangeImage(dist=np.where(mask, rng.random((h, w)), 0.0),
+                         inten=np.where(mask, rng.random((h, w)), 0.0),
+                         mask=mask, spec=spec)
+        net = small_net(c=4, cap=64)
+        ow = net.outconv.w.value
+        ow[...] = rng.normal(0.0, 0.5, ow.shape)
+        out = net.forward(img)
+        padded = np.pad(img.channels(), [(0, 3), (0, 3), (0, 0)], mode="reflect")
+        full = net.forward_array(padded)[:h, :w]
+        kept = mask & (full[..., 0] >= R.RESTORED_MASK_FLOOR)
+        assert not kept.all() and kept.any()
+        assert np.array_equal(out.mask, kept)
+        assert np.array_equal(out.dist, np.where(kept, full[..., 0], 0.0))
+        assert np.array_equal(out.inten, np.where(kept, full[..., 1], 0.0))
 
 
 class TestLoss:
