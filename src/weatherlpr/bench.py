@@ -137,25 +137,25 @@ class RunConfig:
 # synthetic world generation
 
 
+def _uniform(u, lo, hi):
+    """``Generator.uniform(lo, hi)`` from its one ``random()`` draw ``u``."""
+    return lo + (hi - lo) * u
+
+
 def _sample_place_scan(layout_rng, sample_rng, n_points, yaw=0.0, offset=(0.0, 0.0)):
-    """Structured scene (ground, boxes, poles) sampled in the sensor frame."""
+    """Structured scene (ground, boxes, poles) sampled in the sensor frame.
+    The draws and their order are part of the determinism contract: a normal
+    can take more than one word, so box and pole points draw one at a time."""
     n_boxes = int(layout_rng.integers(6, 14))
-    boxes = []
-    for _ in range(n_boxes):
-        r = layout_rng.uniform(5.0, 45.0)
-        th = layout_rng.uniform(0.0, 2 * np.pi)
-        boxes.append((r * np.cos(th), r * np.sin(th),
-                      layout_rng.uniform(1.0, 4.0),      # half-extent
-                      layout_rng.uniform(1.0, 5.0),      # height
-                      layout_rng.uniform(0.3, 0.9)))     # base intensity
+    u = layout_rng.random((n_boxes, 5))   # range, bearing, half-extent, height, intensity
+    r, th = _uniform(u[:, 0], 5.0, 45.0), _uniform(u[:, 1], 0.0, 2 * np.pi)
+    box_x, box_y, box_half = r * np.cos(th), r * np.sin(th), _uniform(u[:, 2], 1.0, 4.0)
+    box_h, box_i = _uniform(u[:, 3], 1.0, 5.0), _uniform(u[:, 4], 0.3, 0.9)
     n_poles = int(layout_rng.integers(4, 9))
-    poles = []
-    for _ in range(n_poles):
-        r = layout_rng.uniform(3.0, 40.0)
-        th = layout_rng.uniform(0.0, 2 * np.pi)
-        poles.append((r * np.cos(th), r * np.sin(th),
-                      layout_rng.uniform(4.0, 8.0),
-                      layout_rng.uniform(0.3, 0.9)))
+    u = layout_rng.random((n_poles, 4))   # range, bearing, height, intensity
+    r, th = _uniform(u[:, 0], 3.0, 40.0), _uniform(u[:, 1], 0.0, 2 * np.pi)
+    pole_x, pole_y = r * np.cos(th), r * np.sin(th)
+    pole_h, pole_i = _uniform(u[:, 2], 4.0, 8.0), _uniform(u[:, 3], 0.3, 0.9)
 
     n_ground = n_points * 3 // 10
     n_box = n_points * 5 // 10
@@ -170,21 +170,27 @@ def _sample_place_scan(layout_rng, sample_rng, n_points, yaw=0.0, offset=(0.0, 0
     pts[:n_ground, 3] = 0.2 + 0.1 * sample_rng.random(n_ground)
 
     which = sample_rng.integers(0, n_boxes, n_box)
+    u, z = np.empty((n_box, 3)), np.empty(n_box)
     for k in range(n_box):
-        bx, by, half, height, inten = boxes[which[k]]
-        pts[n_ground + k, 0] = bx + sample_rng.uniform(-half, half)
-        pts[n_ground + k, 1] = by + sample_rng.uniform(-half, half)
-        pts[n_ground + k, 2] = -1.8 + sample_rng.uniform(0.0, height)
-        pts[n_ground + k, 3] = np.clip(inten + sample_rng.normal(0, 0.05), 0.05, 1.0)
+        u[k] = sample_rng.random(3)
+        z[k] = sample_rng.standard_normal()
+    half, box = box_half[which], pts[n_ground:n_ground + n_box]
+    box[:, 0] = box_x[which] + _uniform(u[:, 0], -half, half)
+    box[:, 1] = box_y[which] + _uniform(u[:, 1], -half, half)
+    box[:, 2] = -1.8 + _uniform(u[:, 2], 0.0, box_h[which])
+    box[:, 3] = np.clip(box_i[which] + 0.05 * z, 0.05, 1.0)
 
-    base = n_ground + n_box
-    whichp = sample_rng.integers(0, n_poles, n_pole)
+    which = sample_rng.integers(0, n_poles, n_pole)
+    u, z = np.empty(n_pole), np.empty((n_pole, 3))
     for k in range(n_pole):
-        px, py, height, inten = poles[whichp[k]]
-        pts[base + k, 0] = px + sample_rng.normal(0, 0.05)
-        pts[base + k, 1] = py + sample_rng.normal(0, 0.05)
-        pts[base + k, 2] = -1.8 + sample_rng.uniform(0.0, height)
-        pts[base + k, 3] = np.clip(inten + sample_rng.normal(0, 0.05), 0.05, 1.0)
+        z[k, :2] = sample_rng.standard_normal(2)
+        u[k] = sample_rng.random()
+        z[k, 2] = sample_rng.standard_normal()
+    pole = pts[n_ground + n_box:]
+    pole[:, 0] = pole_x[which] + 0.05 * z[:, 0]
+    pole[:, 1] = pole_y[which] + 0.05 * z[:, 1]
+    pole[:, 2] = -1.8 + _uniform(u, 0.0, pole_h[which])
+    pole[:, 3] = np.clip(pole_i[which] + 0.05 * z[:, 2], 0.05, 1.0)
 
     # sensor displacement and yaw: world stays put, the frame moves
     pts[:, 0] -= offset[0]

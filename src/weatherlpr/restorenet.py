@@ -226,9 +226,11 @@ class ContextGuide:
         return x + fcb[None, None, :]
 
     def weights(self, x):
-        """Softmax mixture weights for an input (diagnostic)."""
+        """Softmax mixture weights for an input (diagnostic). Stores nothing,
+        so a call between ``forward`` and ``backward`` leaves the gradients."""
         pooled, _ = ops.gap(x)
-        w, _ = ops.softmax(self.fc.forward(pooled))
+        logits, _ = ops.linear(pooled, self.fc.w.value, self.fc.b.value)
+        w, _ = ops.softmax(logits)
         return w
 
     def backward(self, gy):

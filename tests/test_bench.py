@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -45,6 +46,29 @@ class TestSyntheticWorld:
             assert min(math.dist(q.pose, p) for p in db_poses) <= math.sqrt(2) + 1e-9
         for q in world.queries[4:]:  # novel places
             assert min(math.dist(q.pose, p) for p in db_poses) > 100.0
+
+    # (seed, n_places, revisit_fraction, points_per_scan) -> sha256 over every
+    # entry's points, pose and frame id: revisits and novel queries, two
+    # places, all-novel queries, and point counts not divisible by 10
+    WORLD_PINS = {
+        (0, 6, 0.5, 1001): "25bee9a133946e90410c045f611301fa98d881e350e61e8ea2438b743f98be54",
+        (1, 2, 1.0, 900): "ff70741764d385341896a8b43eec6ad045a2b139ff20ab1c066589dbdbc4a6b4",
+        (7, 10, 0.8, 333): "d7d7716abdee54ee445ccc07b2dfdd5e9dccfa39130f0fe2e15eb2edb49906eb",
+        (9, 5, 0.0, 200): "873195bd1075411e73ff2280b044fdf960de3c9de33f88af8eb8569bb6dfcac6",
+    }
+
+    def test_world_bytes_pinned(self):
+        for case, pinned in self.WORLD_PINS.items():
+            seed, n_places, revisit_fraction, points_per_scan = case
+            world = make_synthetic_world(seed=seed, n_places=n_places,
+                                         revisit_fraction=revisit_fraction,
+                                         points_per_scan=points_per_scan)
+            h = hashlib.sha256()
+            for e in world.database + world.queries:
+                h.update(e.cloud.points.tobytes())
+                h.update(np.asarray(e.pose, dtype=np.float64).tobytes())
+                h.update(e.cloud.frame_id.encode())
+            assert h.hexdigest() == pinned, case
 
     def test_too_few_places_rejected(self):
         with pytest.raises(ConfigError):

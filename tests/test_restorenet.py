@@ -138,6 +138,29 @@ class TestBlocks:
             w = ctg.weights(rng.random((4, 6, ctg.c)))
             np.testing.assert_allclose(w, [1.0], atol=1e-15)
 
+    def test_context_guide_weights_leave_backward_state(self):
+        rng = np.random.default_rng(20)
+        img, proj = rand_img(rng, 16, 24), rng.normal(size=(16, 24, 2))
+        probes = [rng.random((4, 6, c)) for c in (16, 8, 4)]
+        head = rng.normal(0.0, 0.5, small_net(c=4).outconv.w.value.shape)
+
+        def gradients(call_weights):
+            net = small_net(c=4, cap=64)
+            net.outconv.w.value[...] = head  # every block reaches the output
+            net.forward_array(img)
+            if call_weights:
+                for ctg, probe in zip(net.guides, probes):
+                    ctg.weights(probe)
+            net.zero_grad()
+            gimg = net.backward_input(proj)
+            return gimg, [p.grad.copy() for p in net.params()]
+
+        gimg, grads = gradients(False)
+        gimg_w, grads_w = gradients(True)
+        assert np.array_equal(gimg, gimg_w)
+        for p, g, gw in zip(small_net(c=4, cap=64).params(), grads, grads_w):
+            assert np.array_equal(g, gw), p.name
+
     def test_token_pooling_kicks_in_above_cap(self):
         assert R._pool_stride(100, 512) == 1
         assert R._pool_stride(513, 512) == 2
