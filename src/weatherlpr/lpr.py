@@ -3,6 +3,7 @@ pre-search, and column-shift matching.
 """
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -17,6 +18,8 @@ CANDIDATE_FACTOR = 10  # ring-key pre-selection keeps 10 * top_n candidates
 
 _DB_MAGIC = b"WLDB"
 _DB_VERSION = 1
+_LOAD_BLOCK = 8      # entries that PlaceDatabase.load reads and indexes at a time
+_GATHER_BLOCK = 64   # candidates whose spectra a query gathers at a time
 
 
 @dataclass(frozen=True)
@@ -48,31 +51,44 @@ def make_descriptor(cloud: PointCloud, rings: int = DEFAULT_RINGS,
 
 
 def _ring_key(cells: np.ndarray) -> np.ndarray:
-    """Fraction of occupied sectors per ring. A bin is occupied when its
-    cell is non-zero, as the distance kernel reads it, so PlaceDatabase.load,
-    which stores only the cells, rebuilds the same key."""
-    return (cells != 0).mean(axis=1)
+    """Fraction of occupied sectors per ring of (..., R, S) cells. A bin is
+    occupied when its cell is non-zero, as the distance kernel reads it, so
+    PlaceDatabase.load, which stores only the cells, rebuilds the same key."""
+    return (cells != 0).mean(axis=-1)
 
 
-def _shift_distances(q_cells: np.ndarray, cand_cells: np.ndarray) -> np.ndarray:
-    """Mean per-column cosine distance of a query (R, S) to each candidate
-    (N, R, S) at every column shift: (N, S), inf where no column pair is
+def _ring_spectra(cells: np.ndarray):
+    """Per-ring spectra along the sectors of the unit columns of (..., R, S)
+    cells, laid out (..., S // 2 + 1, R), and the non-empty-column mask
+    (..., S). Each descriptor's result is the same bits alone or in a stack."""
+    norms = np.sqrt(np.square(cells).sum(axis=-2))
+    nonempty = norms > 0
+    # an empty column has norm 0 and stays 0; dividing it by 1 avoids a masked divide
+    unit = cells / np.where(nonempty, norms, 1.0)[..., None, :]
+    return np.fft.rfft(unit, axis=-1).swapaxes(-1, -2), nonempty
+
+
+def _shift_distances(q_cells: np.ndarray, spectra: np.ndarray, nonempty: np.ndarray,
+                     rows: np.ndarray) -> np.ndarray:
+    """Mean per-column cosine distance of a query (R, S) to the entries
+    ``rows`` of ring spectra (N, S // 2 + 1, R) and non-empty columns (N, S),
+    at every column shift: (len(rows), S), inf where no column pair is
     non-empty in both.
 
-    Shift s pairs query column j with candidate column (j - s) mod S. The
-    candidates' columns are normalised in place, so pass a scratch copy.
+    Shift s pairs query column j with candidate column (j - s) mod S. The sum
+    of the unit-column cosines over rings is a circular cross-correlation,
+    irfft(sum over r of conj(candidate) * query); the counts of valid pairs
+    are an exact 0/1 product. Spectra are gathered _GATHER_BLOCK rows at a time.
     """
     S = q_cells.shape[1]
-    nq = np.sqrt(np.einsum("rs,rs->s", q_cells, q_cells))
-    nc = np.sqrt(np.einsum("nrs,nrs->ns", cand_cells, cand_cells))   # no (N, R, S) temporary
-    # an empty column has norm 0 and stays 0; dividing it by 1 avoids a masked divide
-    q_hat = q_cells / np.where(nq > 0, nq, 1.0)
-    cand_cells /= np.where(nc > 0, nc, 1.0)[:, None, :]
+    q_spectra, q_nonempty = _ring_spectra(q_cells)
+    cross = np.empty((len(rows), q_spectra.shape[0]), dtype=complex)
+    for lo in range(0, len(rows), _GATHER_BLOCK):
+        part = slice(lo, lo + _GATHER_BLOCK)
+        np.vecdot(spectra[rows[part]], q_spectra, out=cross[part])   # conjugates spectra
+    cos_sum = np.fft.irfft(cross, n=S)
     roll = (np.arange(S)[:, None] + np.arange(S)) % S            # roll[jb, s] = jb + s
-    cos_sum = np.zeros((len(cand_cells), S))
-    for r in range(q_cells.shape[0]):
-        cos_sum += cand_cells[:, r, :] @ q_hat[r, roll]
-    counts = (nc > 0).astype(float) @ (nq > 0)[roll].astype(float)
+    counts = nonempty[rows].astype(float) @ q_nonempty[roll].astype(float)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(counts > 0, (counts - cos_sum) / (2.0 * counts), np.inf)
 
@@ -86,7 +102,8 @@ def sc_distance(a: ScanContext, b: ScanContext):
     """
     if a.cells.shape != b.cells.shape:
         raise ValueError(f"descriptor shapes differ: {a.cells.shape} vs {b.cells.shape}")
-    per_shift = _shift_distances(a.cells, b.cells[None].astype(float))[0]
+    spectra, nonempty = _ring_spectra(b.cells)
+    per_shift = _shift_distances(a.cells, spectra[None], nonempty[None], np.array([0]))[0]
     if not np.isfinite(per_shift).any():
         return 1.0, 0
     best = int(np.argmin(per_shift))
@@ -94,7 +111,13 @@ def sc_distance(a: ScanContext, b: ScanContext):
 
 
 class PlaceDatabase:
-    """Location-tagged descriptors with a ring-key index for pre-search."""
+    """Location-tagged descriptors with a ring-key index for pre-search.
+
+    Next to ``ids``, ``poses`` and ``descriptors`` it keeps one row per entry
+    in exact-size arrays: ring key, id, ring spectra and non-empty columns,
+    computed once when the entry is added or loaded. A query gathers its
+    candidates' rows by index.
+    """
 
     def __init__(self, rings: int = DEFAULT_RINGS, sectors: int = DEFAULT_SECTORS):
         self.rings = rings
@@ -103,33 +126,40 @@ class PlaceDatabase:
         self.poses: list[tuple[float, float]] = []
         self.descriptors: list[ScanContext] = []
         self._id_set: set[int] = set()
-        self._index = None  # (ring-key matrix (N, R), id array (N,)), built on demand
+        self._keys = np.empty((0, rings))
+        self._id_array = np.empty(0, dtype=np.int64)
+        self._spectra = np.empty((0, sectors // 2 + 1, rings), dtype=complex)
+        self._nonempty = np.empty((0, sectors), dtype=bool)
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def add(self, scan_id: int, pose, descriptor: ScanContext) -> None:
+        scan_id, pose = int(scan_id), (float(pose[0]), float(pose[1]))
         if scan_id in self._id_set:
             raise ValueError(f"duplicate scan id: {scan_id}")
-        if descriptor.cells.shape != (self.rings, self.sectors):
+        if (descriptor.cells.shape != (self.rings, self.sectors)
+                or np.shape(descriptor.ring_key) != (self.rings,)):
             raise ValueError("descriptor shape does not match database")
-        self.ids.append(int(scan_id))
-        self._id_set.add(int(scan_id))
-        self.poses.append((float(pose[0]), float(pose[1])))
+        spectra, nonempty = _ring_spectra(descriptor.cells)
+        n = len(self.ids) + 1
+        # resize grows each array in place by realloc, so no second copy
+        # stays behind; no view of these arrays leaves the class
+        self._keys.resize((n, self.rings))
+        self._id_array.resize(n)
+        self._spectra.resize((n,) + spectra.shape)
+        self._nonempty.resize((n, self.sectors))
+        self._keys[-1], self._id_array[-1] = descriptor.ring_key, scan_id
+        self._spectra[-1], self._nonempty[-1] = spectra, nonempty
+        self.ids.append(scan_id)
+        self._id_set.add(scan_id)
+        self.poses.append(pose)
         self.descriptors.append(descriptor)
-        self._index = None
-
-    def _ring_keys_and_ids(self):
-        if self._index is None:
-            self._index = (np.stack([d.ring_key for d in self.descriptors]),
-                           np.array(self.ids))
-        return self._index
 
     def candidates(self, q: ScanContext, count: int) -> np.ndarray:
         """Indices of the ``count`` nearest entries by ring-key L2 distance."""
-        keys, ids = self._ring_keys_and_ids()
-        d = np.linalg.norm(keys - q.ring_key, axis=1)
-        return np.lexsort((ids, d))[:count]
+        d = np.linalg.norm(self._keys - q.ring_key, axis=1)
+        return np.lexsort((self._id_array, d))[:count]
 
     def query(self, q: ScanContext, top_n: int = 1, exclude_ids=None):
         """Ranked (scan id, distance) list; ties broken by lower scan id.
@@ -144,12 +174,11 @@ class PlaceDatabase:
         if q.cells.shape != (self.rings, self.sectors):
             raise ValueError("descriptor shape does not match database")
         cand = self.candidates(q, CANDIDATE_FACTOR * top_n)
-        ids = self._ring_keys_and_ids()[1][cand]
+        ids = self._id_array[cand]
         if exclude_ids is not None:
             keep = ~np.isin(ids, np.fromiter(exclude_ids, dtype=np.int64))
             cand, ids = cand[keep], ids[keep]
-        cells = np.array([self.descriptors[k].cells for k in cand], dtype=float)
-        d = _shift_distances(q.cells, cells.reshape(-1, self.rings, self.sectors)).min(axis=1)
+        d = _shift_distances(q.cells, self._spectra, self._nonempty, cand).min(axis=1)
         d[~np.isfinite(d)] = 1.0
         return [(int(ids[k]), float(d[k])) for k in np.lexsort((ids, d))[:top_n]]
 
@@ -168,20 +197,51 @@ class PlaceDatabase:
     @classmethod
     def load(cls, path) -> "PlaceDatabase":
         """Read a save() file; a truncated or malformed one, or one with bytes
-        past its last entry, raises pointcloud.ScanParseError."""
+        past its last entry, raises pointcloud.ScanParseError.
+
+        The header's entry count is checked against the file's size before
+        anything is allocated; the body is then read and indexed in blocks
+        of _LOAD_BLOCK entries.
+        """
         with open(path, "rb") as fh:
             if fh.read(4) != _DB_MAGIC:
                 raise ScanParseError(f"{path}: not a place database file")
             version, rings, sectors = struct.unpack("<III", read_exact(fh, 12, path))
             if version != _DB_VERSION:
                 raise ScanParseError(f"{path}: unsupported version {version}")
+            if rings < 1 or sectors < 1:
+                raise ScanParseError(f"{path}: bad grid of {rings} rings x {sectors} sectors")
             (count,) = struct.unpack("<I", read_exact(fh, 4, path))
+            end = fh.tell() + count * (24 + 4 * rings * sectors)
+            size = os.fstat(fh.fileno()).st_size
+            if size < end:
+                raise ScanParseError(f"{path}: truncated: {count} entries end at byte "
+                                     f"{end}, the file has {size}")
+            if size > end:
+                raise ScanParseError(f"{path}: bytes past entry {count} at byte {end}")
+            record = np.dtype([("id", "<i8"), ("pose", "<f8", 2),
+                               ("cells", "<f4", (rings, sectors))])
             db = cls(rings=rings, sectors=sectors)
-            for _ in range(count):
-                sid, px, py = struct.unpack("<qdd", read_exact(fh, 24, path))
-                cells = np.frombuffer(read_exact(fh, 4 * rings * sectors, path),
-                                      dtype="<f4").reshape(rings, sectors).astype(float)
-                db.add(sid, (px, py), ScanContext(cells=cells, ring_key=_ring_key(cells)))
-            if fh.read(1):
-                raise ScanParseError(f"{path}: bytes past entry {count} at byte {fh.tell() - 1}")
+            ids, poses = np.empty(count, dtype=np.int64), np.empty((count, 2))
+            db._keys = np.empty((count, rings))
+            db._spectra = np.empty((count, sectors // 2 + 1, rings), dtype=complex)
+            db._nonempty = np.empty((count, sectors), dtype=bool)
+            for lo in range(0, count, _LOAD_BLOCK):
+                hi = min(lo + _LOAD_BLOCK, count)
+                block = np.frombuffer(read_exact(fh, (hi - lo) * record.itemsize, path),
+                                      dtype=record)
+                if not np.isfinite(block["cells"]).all():
+                    raise ScanParseError(f"{path}: non-finite cells in entries {lo}-{hi - 1}")
+                cells = block["cells"].astype(float)
+                keys = _ring_key(cells)
+                ids[lo:hi], poses[lo:hi], db._keys[lo:hi] = block["id"], block["pose"], keys
+                db._spectra[lo:hi], db._nonempty[lo:hi] = _ring_spectra(cells)
+                # small blocks of cells, which the descriptors view, reuse freed heap
+                db.descriptors += map(ScanContext, cells, keys)
+        unique, counts = np.unique(ids, return_counts=True)
+        if (counts > 1).any():
+            raise ScanParseError(f"{path}: duplicate scan id: {unique[counts > 1][0]}")
+        db.ids, db._id_array = ids.tolist(), ids
+        db._id_set = set(db.ids)
+        db.poses = list(zip(*poses.T.tolist()))
         return db

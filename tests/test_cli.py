@@ -147,6 +147,27 @@ class TestInputErrors:
         rc = cli.main(["retrieve", "--db", str(long), "--query", str(scan)])
         assert rc == cli.EXIT_DATA
 
+    def test_database_with_repeated_id_exits_3(self, world_dir, db_path, tmp_path):
+        blob = bytearray(db_path.read_bytes())
+        rings, sectors = np.frombuffer(blob[8:16], dtype="<u4")
+        record = 24 + 4 * int(rings) * int(sectors)
+        blob[20 + record:28 + record] = blob[20:28]   # entry 1 takes entry 0's id
+        bad = tmp_path / "dup.db"
+        bad.write_bytes(bytes(blob))
+        scan = sorted((world_dir / "database").glob("*.bin"))[0]
+        assert cli.main(["retrieve", "--db", str(bad), "--query", str(scan)]) == cli.EXIT_DATA
+
+    @pytest.mark.parametrize("rings, sectors", [(20, 0), (0, 60)])
+    def test_database_with_empty_grid_exits_3(self, world_dir, tmp_path, rings, sectors):
+        # a header and entries of matching size, each with no cells
+        entries = np.zeros(3, dtype=[("id", "<i8"), ("pose", "<f8", 2)])
+        entries["id"] = [0, 1, 2]
+        bad = tmp_path / "grid.db"
+        bad.write_bytes(b"WLDB" + np.array([1, rings, sectors, 3], dtype="<u4").tobytes()
+                        + entries.tobytes())
+        scan = sorted((world_dir / "database").glob("*.bin"))[0]
+        assert cli.main(["retrieve", "--db", str(bad), "--query", str(scan)]) == cli.EXIT_DATA
+
     def test_pose_line_missing_field_exits_3(self, world_dir, tmp_path):
         poses = tmp_path / "poses.txt"
         poses.write_text("0 1.0\n")

@@ -79,6 +79,17 @@ class TestDistance:
         assert d == pytest.approx(0.0, abs=1e-9)
         assert shift in (k, 60 - k)
 
+    def test_rotated_cloud_shift_direction(self):
+        # a cloud turned by +k sectors moves its columns by +k, so its query
+        # column j meets the original's column j - k: shift k one way,
+        # 60 - k the other
+        cloud = structured_cloud(3)
+        sc = make_descriptor(cloud)
+        for k in (1, 7, 31):
+            rot = make_descriptor(rot_z(cloud, k * 2 * np.pi / 60))
+            assert sc_distance(rot, sc) == (pytest.approx(0.0, abs=1e-9), k)
+            assert sc_distance(sc, rot) == (pytest.approx(0.0, abs=1e-9), 60 - k)
+
     def test_shift_pairs_column_j_with_column_j_minus_shift(self):
         a = make_descriptor(structured_cloud(3))
         for k in (1, 7, 59):
@@ -266,7 +277,7 @@ class TestDatabase:
 
     def test_identical_descriptors_tie_to_lower_id(self):
         db = PlaceDatabase()
-        for k in range(30):
+        for k in reversed(range(30)):   # id 21 goes in before id 2
             cloud = structured_cloud(7 if k == 21 else 5 + k)   # ids 2 and 21 share a scene
             db.add(k, (float(k), 0.0), make_descriptor(cloud))
         got = db.query(make_descriptor(structured_cloud(999)), top_n=len(db))
@@ -314,3 +325,101 @@ class TestDatabase:
             tracemalloc.stop()
         assert got[0][0] == 123
         assert peak <= 4 * 2**20, f"{peak / 2**20:.1f} MB"
+
+
+def sparse_cells(rng, rings, sectors):
+    """Heights with about a third of the columns and a tenth of the other
+    cells empty."""
+    cells = rng.uniform(-2.0, 5.0, (rings, sectors))
+    cells[rng.random((rings, sectors)) < 0.1] = 0.0
+    cells[:, rng.random(sectors) < 0.3] = 0.0
+    return cells
+
+
+def context(cells):
+    return ScanContext(cells, (cells != 0).mean(axis=1))
+
+
+class TestKernel:
+    """Every candidate's distance against brute_distance, which rolls the
+    query with np.roll and calls no lpr code."""
+
+    @pytest.mark.parametrize("rings, sectors", [(20, 60), (4, 7), (3, 59), (1, 60), (1, 7)])
+    def test_distances_match_rolled_brute_force(self, rings, sectors):
+        rng = np.random.default_rng(rings * 100 + sectors)
+        db = PlaceDatabase(rings=rings, sectors=sectors)
+        entries = [sparse_cells(rng, rings, sectors) for _ in range(12)]
+        entries.append(np.zeros((rings, sectors)))          # an all-empty entry
+        for k, cells in enumerate(entries):
+            db.add(k, (0.0, 0.0), context(cells))
+        empty = np.zeros((rings, sectors))
+        queries = [sparse_cells(rng, rings, sectors) for _ in range(3)]
+        queries += [np.roll(entries[4], 2, axis=1), empty]
+        for q in queries:
+            got = dict(db.query(context(q), top_n=len(db)))
+            assert sorted(got) == list(range(len(db)))
+            assert got[len(entries) - 1] == 1.0
+            for k, cells in enumerate(entries):
+                assert abs(got[k] - brute_distance(q, cells)) <= 1e-12, k
+                assert abs(sc_distance(context(q), context(cells))[0]
+                           - brute_distance(q, cells)) <= 1e-12, k
+        assert db.query(context(empty), top_n=len(db)) == [(k, 1.0) for k in range(len(db))]
+
+    def test_add_after_load_is_seen(self, tmp_path):
+        db, clouds = build_db(n=10)
+        db.save(tmp_path / "db.bin")
+        back = PlaceDatabase.load(tmp_path / "db.bin")
+        q = make_descriptor(structured_cloud(999))
+        back.add(50, (0.0, 0.0), q)
+        assert back.query(q, top_n=1)[0] == (50, pytest.approx(0.0, abs=1e-12))
+        assert back.query(make_descriptor(clouds[4]), top_n=1)[0][0] == 4
+
+
+class TestDatabaseFuzz:
+    """Byte-flipped database files: each one raises ScanParseError or loads
+    a database whose query returns. TestDatabase's
+    test_every_truncation_is_data_error cuts the same file at every offset."""
+
+    @pytest.fixture()
+    def blob(self, tmp_path):
+        db = PlaceDatabase(rings=4, sectors=6)
+        for k, seed in enumerate((1, 2, 3)):
+            db.add(k, (float(k), 0.0), make_descriptor(structured_cloud(seed), 4, 6))
+        db.save(tmp_path / "db.bin")
+        return (tmp_path / "db.bin").read_bytes()
+
+    def load_and_query(self, path):
+        try:
+            db = PlaceDatabase.load(path)
+        except ScanParseError:
+            return None
+        q = make_descriptor(structured_cloud(7), db.rings, db.sectors)
+        got = db.query(q, top_n=2)
+        assert len(got) == min(2, len(db))
+        assert all(0.0 <= d <= 1.0 for _, d in got)
+        return db
+
+    def test_byte_flips(self, blob, tmp_path):
+        path = tmp_path / "fuzz.bin"
+        rng = np.random.default_rng(17)
+        loaded = 0
+        for _ in range(600):
+            bad = bytearray(blob)
+            for at in rng.integers(len(blob), size=rng.integers(1, 4)):
+                bad[at] = int(rng.integers(256))
+            path.write_bytes(bytes(bad))
+            loaded += self.load_and_query(path) is not None
+        assert 0 < loaded < 600
+
+    def test_huge_count_fails_before_allocating(self, blob, tmp_path):
+        path = tmp_path / "huge.bin"
+        for count in (2**32 - 1, 2_000_000):
+            path.write_bytes(blob[:16] + count.to_bytes(4, "little") + blob[20:])
+            tracemalloc.start()
+            try:
+                with pytest.raises(ScanParseError, match="truncated"):
+                    PlaceDatabase.load(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, f"{peak / 2**20:.1f} MB"
