@@ -7,7 +7,7 @@ from .pointcloud import (PointCloud, ProjectionSpec, RangeImage, back_project,
 from .weathersim import (CorruptionAnnotation, FogParams, ParticleParams,
                          RainParams, SnowParams, corrupt_fog, corrupt_rain,
                          corrupt_snow, severity_preset)
-from .wavelet import WaveletSubbands, dwt2, idwt2
+from .wavelet import dwt2, idwt2
 from .restorenet import NetConfig, ResLPRNet, TrainOptions, train
 from .lpr import PlaceDatabase, ScanContext, make_descriptor, sc_distance
 from .metrics import MetricRow, RetrievalRecord, msr, recall_at_n, stability_rate
@@ -17,7 +17,7 @@ __all__ = [
     "PointCloud", "ProjectionSpec", "RangeImage", "project", "back_project",
     "read_scan", "write_scan", "FogParams", "ParticleParams", "SnowParams", "RainParams",
     "CorruptionAnnotation", "corrupt_fog", "corrupt_snow", "corrupt_rain",
-    "severity_preset", "WaveletSubbands", "dwt2", "idwt2", "NetConfig",
+    "severity_preset", "dwt2", "idwt2", "NetConfig",
     "ResLPRNet", "TrainOptions", "train", "PlaceDatabase", "ScanContext",
     "make_descriptor", "sc_distance", "MetricRow", "RetrievalRecord",
     "recall_at_n", "stability_rate", "msr", "RunConfig",

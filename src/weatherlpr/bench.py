@@ -11,7 +11,7 @@ import numpy as np
 
 from . import lpr, metrics, weathersim
 from .pointcloud import (PointCloud, ProjectionSpec, ScanParseError, back_project,
-                         project, write_scan)
+                         project, read_text_lines, write_scan)
 from .restorenet import ResLPRNet, load_checkpoint
 
 QUERY_ID_BASE = 100000
@@ -79,19 +79,20 @@ def load_manifest(path) -> Manifest:
 
 
 def read_pose_file(path) -> dict:
-    """{scan_id: (x, y)} from "<scan_id> <x> <y>" lines; a malformed line
-    raises pointcloud.ScanParseError."""
+    """{scan_id: (x, y)} from "<scan_id> <x> <y>" lines; a malformed line or
+    a non-finite coordinate raises pointcloud.ScanParseError."""
     poses = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            try:
-                poses[int(parts[0])] = (float(parts[1]), float(parts[2]))
-            except (IndexError, ValueError) as exc:
-                raise ScanParseError(
-                    f"{path}:{lineno}: bad pose line {line.strip()!r}") from exc
+    for lineno, line in enumerate(read_text_lines(path), 1):
+        parts = line.split()
+        if not parts:
+            continue
+        try:
+            sid, pose = int(parts[0]), (float(parts[1]), float(parts[2]))
+            if not np.isfinite(pose).all():
+                raise ValueError("non-finite coordinate")
+        except (IndexError, ValueError) as exc:
+            raise ScanParseError(f"{path}:{lineno}: bad pose line {line.strip()!r}") from exc
+        poses[sid] = pose
     return poses
 
 

@@ -120,8 +120,7 @@ def cmd_restore(args) -> int:
 
 def cmd_index(args) -> int:
     poses = bench.read_pose_file(args.poses)
-    config = RunConfig(rings=args.rings, sectors=args.sectors,
-                       max_radius=args.max_radius)
+    config = RunConfig(rings=args.rings, sectors=args.sectors)
     db = bench.build_database(_entries(_scan_files(getattr(args, "in")), poses), config)
     db.save(args.out)
     print(f"indexed {len(db)} scans -> {args.out}")
@@ -130,8 +129,7 @@ def cmd_index(args) -> int:
 
 def cmd_retrieve(args) -> int:
     db = lpr.PlaceDatabase.load(args.db)
-    desc = lpr.make_descriptor(read_scan(args.query), db.rings, db.sectors,
-                               args.max_radius)
+    desc = lpr.make_descriptor(read_scan(args.query), db.rings, db.sectors)
     for sid, dist in db.query(desc, top_n=args.top_n):
         print(f"{sid} {dist:.6f}")
     return 0
@@ -140,8 +138,8 @@ def cmd_retrieve(args) -> int:
 def cmd_evaluate(args) -> int:
     db = lpr.PlaceDatabase.load(args.db)
     poses = bench.read_pose_file(args.query_poses)
-    config = RunConfig(rings=db.rings, sectors=db.sectors, max_radius=args.max_radius,
-                       top_n=args.top_n, exclude_recent=args.exclude_recent)
+    config = RunConfig(rings=db.rings, sectors=db.sectors, top_n=args.top_n,
+                       exclude_recent=args.exclude_recent)
     records = bench.evaluate_queries(db, _entries(_scan_files(args.queries), poses), config)
     row = metrics.score_records(records, "unknown", 0, "none", args.pos_radius)
     print(f"AUC={row.auc:.4f} F1={row.f1:.4f} "
@@ -251,14 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--rings", type=int, default=lpr.DEFAULT_RINGS)
     p.add_argument("--sectors", type=int, default=lpr.DEFAULT_SECTORS)
-    p.add_argument("--max-radius", type=float, default=lpr.DEFAULT_MAX_RADIUS)
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("retrieve", help="query a place database with one scan")
     p.add_argument("--db", required=True)
     p.add_argument("--query", required=True)
     p.add_argument("--top-n", type=int, default=5)
-    p.add_argument("--max-radius", type=float, default=lpr.DEFAULT_MAX_RADIUS)
     p.set_defaults(func=cmd_retrieve)
 
     p = sub.add_parser("evaluate", help="score a query set against a database")
@@ -268,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--top-n", type=int, default=20)
     p.add_argument("--pos-radius", type=float, default=metrics.DEFAULT_POS_RADIUS)
-    p.add_argument("--max-radius", type=float, default=lpr.DEFAULT_MAX_RADIUS)
     p.add_argument("--exclude-recent", type=int, default=50)
     p.set_defaults(func=cmd_evaluate)
 

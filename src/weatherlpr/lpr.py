@@ -196,8 +196,9 @@ class PlaceDatabase:
 
     @classmethod
     def load(cls, path) -> "PlaceDatabase":
-        """Read a save() file; a truncated or malformed one, or one with bytes
-        past its last entry, raises pointcloud.ScanParseError.
+        """Read a save() file; a truncated or malformed one, one with no
+        entries, or one with bytes past its last entry, raises
+        pointcloud.ScanParseError.
 
         The header's entry count is checked against the file's size before
         anything is allocated; the body is then read and indexed in blocks
@@ -212,6 +213,9 @@ class PlaceDatabase:
             if rings < 1 or sectors < 1:
                 raise ScanParseError(f"{path}: bad grid of {rings} rings x {sectors} sectors")
             (count,) = struct.unpack("<I", read_exact(fh, 4, path))
+            if count == 0:
+                # save() of an empty database; no entry bounds its header's grid
+                raise ScanParseError(f"{path}: a database with no entries")
             end = fh.tell() + count * (24 + 4 * rings * sectors)
             size = os.fstat(fh.fileno()).st_size
             if size < end:

@@ -119,6 +119,16 @@ def read_exact(fh, n: int, path) -> bytes:
     return data
 
 
+def read_text_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file without their newlines; bytes that are
+    not UTF-8 raise ScanParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return [line.rstrip("\n") for line in fh]
+    except UnicodeDecodeError as exc:
+        raise ScanParseError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def write_scan(cloud: PointCloud, path) -> None:
     cloud.points.astype("<f4").tofile(str(path))
 

@@ -9,6 +9,7 @@ a residual added to the input, clamped to [0, 1].
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -249,25 +250,16 @@ class ContextGuide:
 
 
 class WatEncodeBlock:
-    """DWT -> sub-band concat -> feature mixing -> transformer fuse ->
+    """DWT sub-band stack -> feature mixing -> transformer fuse ->
     channel-growth projection; halves spatial dims, doubles channels."""
 
     def __init__(self, rng, cin, token_cap, name="enc"):
-        self.cin = cin
         self.mix = FeatureMix(rng, 4 * cin, token_cap, name=f"{name}.mix")
         self.fuse = TransformerFuse(rng, 4 * cin, token_cap, name=f"{name}.fuse")
         self.proj = Conv2d(rng, 4 * cin, 2 * cin, k=1, name=f"{name}.proj")
 
-    def subbands(self, x):
-        """Concatenated [LL, LH, HL, HH] sub-bands of the input."""
-        sb = wavelet.dwt2(x)
-        return np.concatenate([sb.ll, sb.lh, sb.hl, sb.hh], axis=-1)
-
     def forward(self, x, keep=True):
-        h, w, _ = x.shape
-        if h % 2 or w % 2:
-            raise ValueError(f"encoder block needs even spatial dims, got {h}x{w}")
-        fws = self.subbands(x)
+        fws = wavelet.dwt2(x)
         fc = self.mix.forward(fws, keep)
         fwb = self.fuse.forward(fws, fc, keep)
         return self.proj.forward(fwb, keep)
@@ -276,12 +268,8 @@ class WatEncodeBlock:
         gfwb = self.proj.backward(gy)
         gfws, gfc = self.fuse.backward(gfwb)
         gfws += self.mix.backward(gfc)
-        c = self.cin
-        gsb = wavelet.WaveletSubbands(
-            ll=gfws[..., 0 * c:1 * c], lh=gfws[..., 1 * c:2 * c],
-            hl=gfws[..., 2 * c:3 * c], hh=gfws[..., 3 * c:4 * c])
         # orthonormal transform: the adjoint of dwt2 is idwt2
-        return wavelet.idwt2(gsb)
+        return wavelet.idwt2(gfws)
 
     def params(self):
         return self.mix.params() + self.fuse.params() + self.proj.params()
@@ -551,8 +539,8 @@ def save_checkpoint(net: ResLPRNet, path) -> None:
 
 
 def load_checkpoint(path) -> ResLPRNet:
-    """Read a save_checkpoint file; a truncated or malformed one raises
-    pointcloud.ScanParseError."""
+    """Read a save_checkpoint file; a truncated or malformed one, or one with
+    a non-finite or repeated tensor, raises pointcloud.ScanParseError."""
     with open(path, "rb") as fh:
         if fh.read(4) != _CKPT_MAGIC:
             raise ScanParseError(f"{path}: not a checkpoint file")
@@ -560,12 +548,16 @@ def load_checkpoint(path) -> ResLPRNet:
         if version != _CKPT_VERSION:
             raise ScanParseError(f"{path}: unsupported checkpoint version {version}")
         base_c, n_ctx, cap = struct.unpack("<III", read_exact(fh, 12, path))
+        # the net holds at least 128 c^2 (bottleneck.ff1.w) + n c (ctg2.ce)
+        # parameters, 4 bytes each here: check before building it
+        if 4 * (128 * base_c * base_c + n_ctx * base_c) > os.fstat(fh.fileno()).st_size:
+            raise ScanParseError(f"{path}: a net with {base_c} base channels and "
+                                 f"{n_ctx} contexts does not fit in the file")
         try:
-            config = NetConfig(base_channels=base_c, n_contexts=n_ctx,
-                               attn_token_cap=cap)
+            net = ResLPRNet(NetConfig(base_channels=base_c, n_contexts=n_ctx,
+                                      attn_token_cap=cap))
         except ValueError as exc:
             raise ScanParseError(f"{path}: {exc}") from exc
-        net = ResLPRNet(config)
         table = {p.name: p for p in net.params()}
         if len(table) != count:
             raise ScanParseError(f"{path}: tensor count {count} != expected {len(table)}")
@@ -574,8 +566,11 @@ def load_checkpoint(path) -> ResLPRNet:
             name = read_exact(fh, nlen, path).decode(errors="replace")
             (ndim,) = struct.unpack("<B", read_exact(fh, 1, path))
             shape = struct.unpack(f"<{ndim}I", read_exact(fh, 4 * ndim, path))
-            if name not in table or table[name].value.shape != shape:
+            param = table.pop(name, None)
+            if param is None or param.value.shape != shape:
                 raise ScanParseError(f"{path}: unexpected tensor {name} {shape}")
             data = read_exact(fh, 4 * int(np.prod(shape)), path)
-            table[name].value[...] = np.frombuffer(data, dtype="<f4").reshape(shape)
+            param.value[...] = np.frombuffer(data, dtype="<f4").reshape(shape)
+            if not np.isfinite(param.value).all():
+                raise ScanParseError(f"{path}: non-finite values in tensor {name}")
     return net

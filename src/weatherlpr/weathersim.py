@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pointcloud import PointCloud, ScanParseError
+from .pointcloud import PointCloud, ScanParseError, read_text_lines
 
 DETECT_FLOOR = 0.005   # attenuated returns below this intensity are lost
 SCATTER_MIN = 1.5      # meters; nearest plausible particle return
@@ -242,8 +242,7 @@ def write_annotations(records, path) -> None:
 def read_annotations(path):
     """Parse a sidecar file back into {frame_id: (noise indices, dropped indices)};
     a malformed file raises pointcloud.ScanParseError naming path and line."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    lines = read_text_lines(path)
     out = {}
     for k in range(0, len(lines), 3):
         block = []
@@ -255,7 +254,7 @@ def read_annotations(path):
             try:
                 block.append(rest if tag == "scan" else np.array(
                     [int(t) for t in rest.split()], dtype=int))
-            except ValueError as exc:
-                raise ScanParseError(f"{path}:{n + 1}: non-integer index in {line!r}") from exc
+            except (ValueError, OverflowError) as exc:
+                raise ScanParseError(f"{path}:{n + 1}: bad index in {line!r}") from exc
         out[block[0]] = (block[1], block[2])
     return out

@@ -133,7 +133,8 @@ class TestManifest:
 
 
 class TestPoseFile:
-    @pytest.mark.parametrize("line", ["0 1.0", "0 1.0 north", "zero 1.0 2.0"])
+    @pytest.mark.parametrize("line", ["0 1.0", "0 1.0 north", "zero 1.0 2.0",
+                                      "0 1e999 2.0", "0 1.0 nan"])
     def test_malformed_line_names_path_and_line(self, tmp_path, line):
         path = tmp_path / "poses.txt"
         path.write_text(f"5 0.0 0.0\n\n{line}\n")

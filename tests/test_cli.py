@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,6 +169,18 @@ class TestInputErrors:
         scan = sorted((world_dir / "database").glob("*.bin"))[0]
         assert cli.main(["retrieve", "--db", str(bad), "--query", str(scan)]) == cli.EXIT_DATA
 
+    def test_header_only_database_exits_3(self, world_dir, tmp_path):
+        # no entries, and a grid of (2^32 - 1)^2 cells that no query can build
+        bad = tmp_path / "header.db"
+        bad.write_bytes(b"WLDB" + np.array([1, 2**32 - 1, 2**32 - 1, 0], dtype="<u4").tobytes())
+        scan = sorted((world_dir / "database").glob("*.bin"))[0]
+        assert cli.main(["retrieve", "--db", str(bad), "--query", str(scan)]) == cli.EXIT_DATA
+
+    def test_pose_file_not_utf8_exits_3(self, world_dir, tmp_path):
+        poses = tmp_path / "poses.txt"
+        poses.write_bytes((world_dir / "database_poses.txt").read_bytes() + b"\xff 1.0 2.0\n")
+        assert self.index(world_dir, poses, tmp_path) == cli.EXIT_DATA
+
     def test_pose_line_missing_field_exits_3(self, world_dir, tmp_path):
         poses = tmp_path / "poses.txt"
         poses.write_text("0 1.0\n")
@@ -262,6 +275,43 @@ class TestRestore:
         zero_cap = tmp_path / "cap0.ckpt"  # header field attn_token_cap = 0
         zero_cap.write_bytes(blob[:20] + bytes(4) + blob[24:])
         assert restore(zero_cap) == cli.EXIT_DATA
+        odd = tmp_path / "odd.ckpt"  # base_channels = 3, which the decoder rejects
+        odd.write_bytes(blob[:12] + (3).to_bytes(4, "little") + blob[16:])
+        assert restore(odd) == cli.EXIT_DATA
+
+    def test_non_finite_weight_is_data_error(self, world_dir, tmp_path):
+        ckpt = tmp_path / "net.ckpt"
+        restorenet.save_checkpoint(
+            restorenet.ResLPRNet(restorenet.NetConfig(base_channels=2)), ckpt)
+        blob = bytearray(ckpt.read_bytes())
+        # the first tensor is embed.w, rank 4: its data starts after magic and
+        # header (24), name length (2), name, rank (1) and dims (16)
+        data_at = 24 + 2 + len(b"embed.w") + 1 + 16
+        blob[data_at + 8:data_at + 12] = np.array([np.nan], dtype="<f4").tobytes()
+        bad = tmp_path / "nan.ckpt"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(ScanParseError, match="embed.w"):
+            restorenet.load_checkpoint(bad)
+        assert cli.main(["restore", "--ckpt", str(bad), "--in", str(world_dir / "database"),
+                         "--out", str(tmp_path / "out"), *PROJ_ARGS]) == cli.EXIT_DATA
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("base_c, n_ctx", [(255, 3), (2**32 - 1, 3), (2, 2**32 - 1)])
+    def test_header_larger_than_file_fails_before_building(self, tmp_path, base_c, n_ctx):
+        ckpt = tmp_path / "net.ckpt"
+        restorenet.save_checkpoint(
+            restorenet.ResLPRNet(restorenet.NetConfig(base_channels=2)), ckpt)
+        blob = ckpt.read_bytes()
+        ckpt.write_bytes(blob[:12] + np.array([base_c, n_ctx], dtype="<u4").tobytes()
+                         + blob[20:])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScanParseError, match="does not fit"):
+                restorenet.load_checkpoint(ckpt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"{peak / 2**20:.1f} MB"
 
 
 class TestBenchCommand:
@@ -312,6 +362,16 @@ class TestBenchCommand:
 class TestParser:
     def test_unknown_command_exit_code(self):
         assert cli.main(["transmogrify"]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("argv", [
+        ["index", "--in", "scans", "--poses", "poses.txt", "--out", "places.db"],
+        ["retrieve", "--db", "places.db", "--query", "000000.bin"],
+        ["evaluate", "--db", "places.db", "--queries", "q", "--query-poses", "poses.txt"],
+    ], ids=["index", "retrieve", "evaluate"])
+    def test_max_radius_is_not_an_option(self, argv):
+        # the database does not record the radius, so every command uses
+        # lpr.DEFAULT_MAX_RADIUS and none can disagree with another
+        assert cli.main(argv + ["--max-radius", "20"]) == cli.EXIT_CONFIG
 
     def test_entry_point_help(self, capsys):
         with pytest.raises(SystemExit):

@@ -243,6 +243,12 @@ class TestDatabase:
         cut.write_bytes(blob)
         assert PlaceDatabase.load(cut).ids == [0, 1, 2]
 
+    def test_empty_database_does_not_load(self, tmp_path):
+        # a header alone has no entry whose size bounds its grid
+        PlaceDatabase().save(tmp_path / "db.bin")
+        with pytest.raises(ScanParseError, match="no entries"):
+            PlaceDatabase.load(tmp_path / "db.bin")
+
     def test_bad_magic_and_version_are_data_errors(self, tmp_path):
         db, _ = build_db(n=2)
         db.save(tmp_path / "db.bin")

