@@ -4,9 +4,8 @@ __version__ = "0.1.0"
 
 from .pointcloud import (PointCloud, ProjectionSpec, RangeImage, back_project,
                          project, read_scan, write_scan)
-from .weathersim import (CorruptionAnnotation, FogParams, ParticleParams,
-                         RainParams, SnowParams, corrupt_fog, corrupt_rain,
-                         corrupt_snow, severity_preset)
+from .weathersim import (CorruptionAnnotation, FogParams, RainParams, SnowParams,
+                         corrupt_fog, corrupt_rain, corrupt_snow, severity_preset)
 from .wavelet import dwt2, idwt2
 from .restorenet import NetConfig, ResLPRNet, TrainOptions, train
 from .lpr import PlaceDatabase, ScanContext, make_descriptor, sc_distance
@@ -15,7 +14,7 @@ from .bench import RunConfig, make_synthetic_world, run_benchmark
 
 __all__ = [
     "PointCloud", "ProjectionSpec", "RangeImage", "project", "back_project",
-    "read_scan", "write_scan", "FogParams", "ParticleParams", "SnowParams", "RainParams",
+    "read_scan", "write_scan", "FogParams", "SnowParams", "RainParams",
     "CorruptionAnnotation", "corrupt_fog", "corrupt_snow", "corrupt_rain",
     "severity_preset", "dwt2", "idwt2", "NetConfig",
     "ResLPRNet", "TrainOptions", "train", "PlaceDatabase", "ScanContext",

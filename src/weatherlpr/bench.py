@@ -79,19 +79,24 @@ def load_manifest(path) -> Manifest:
 
 
 def read_pose_file(path) -> dict:
-    """{scan_id: (x, y)} from "<scan_id> <x> <y>" lines; a malformed line or
-    a non-finite coordinate raises pointcloud.ScanParseError."""
+    """{scan_id: (x, y)} from "<scan_id> <x> <y>" lines; a line with other
+    than three fields, a malformed or non-finite field, or a repeated scan id
+    raises pointcloud.ScanParseError naming path and line."""
     poses = {}
     for lineno, line in enumerate(read_text_lines(path), 1):
         parts = line.split()
         if not parts:
             continue
         try:
+            if len(parts) != 3:
+                raise ValueError(f"{len(parts)} fields, not 3")
             sid, pose = int(parts[0]), (float(parts[1]), float(parts[2]))
             if not np.isfinite(pose).all():
                 raise ValueError("non-finite coordinate")
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             raise ScanParseError(f"{path}:{lineno}: bad pose line {line.strip()!r}") from exc
+        if sid in poses:
+            raise ScanParseError(f"{path}:{lineno}: repeated scan id {sid}")
         poses[sid] = pose
     return poses
 

@@ -144,11 +144,13 @@ class PlaceDatabase:
         spectra, nonempty = _ring_spectra(descriptor.cells)
         n = len(self.ids) + 1
         # resize grows each array in place by realloc, so no second copy
-        # stays behind; no view of these arrays leaves the class
-        self._keys.resize((n, self.rings))
-        self._id_array.resize(n)
-        self._spectra.resize((n,) + spectra.shape)
-        self._nonempty.resize((n, self.sectors))
+        # stays behind. No view of these arrays outlives a call of this
+        # class, so the reference check is off: a tracer's or profiler's
+        # reference to a frame would otherwise make resize refuse
+        self._keys.resize((n, self.rings), refcheck=False)
+        self._id_array.resize(n, refcheck=False)
+        self._spectra.resize((n,) + spectra.shape, refcheck=False)
+        self._nonempty.resize((n, self.sectors), refcheck=False)
         self._keys[-1], self._id_array[-1] = descriptor.ring_key, scan_id
         self._spectra[-1], self._nonempty[-1] = spectra, nonempty
         self.ids.append(scan_id)

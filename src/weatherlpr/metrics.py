@@ -178,17 +178,6 @@ def write_csv(rows, path) -> None:
             writer.writerow(asdict(row))
 
 
-def read_csv(path):
-    with open(path, newline="") as fh:
-        out = []
-        for rec in csv.DictReader(fh):
-            out.append(MetricRow(
-                kind=rec["kind"], level=int(rec["level"]), method=rec["method"],
-                auc=float(rec["auc"]), f1=float(rec["f1"]), r1=float(rec["r1"]),
-                r5=float(rec["r5"]), r20=float(rec["r20"])))
-    return out
-
-
 def write_report(report: dict, path) -> None:
     """Canonical JSON serialization: sorted keys, fixed layout, so equal
     inputs produce byte-identical reports."""

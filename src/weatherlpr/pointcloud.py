@@ -104,9 +104,10 @@ def read_scan(path) -> PointCloud:
             f"{path}: trailing {nbytes % POINT_RECORD_BYTES} bytes at byte offset "
             f"{nbytes - nbytes % POINT_RECORD_BYTES}")
     raw = np.fromfile(str(path), dtype="<f4")
-    pts = raw.reshape(-1, 4).astype(float)
-    if not np.all(np.isfinite(pts)):
+    # checked as float32: casting a signalling NaN would warn first
+    if not np.all(np.isfinite(raw)):
         raise ScanParseError(f"{path}: non-finite values in scan")
+    pts = raw.reshape(-1, 4).astype(float)
     pts[:, 3] = normalize_intensity(pts[:, 3])
     return PointCloud(pts, frame_id=os.path.splitext(os.path.basename(str(path)))[0])
 

@@ -440,15 +440,12 @@ def loss_l1(pred: np.ndarray, clean: np.ndarray):
     return value, grad
 
 
-def loss_images(pred: RangeImage, clean: RangeImage) -> float:
-    value, _ = loss_l1(pred.channels(), clean.channels())
-    return value
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    def __init__(self, params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = params
-        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, params, lr):
+        self.params, self.lr = params, lr
         self.t = 0
         self.m = [np.zeros_like(p.value) for p in params]
         self.v = [np.zeros_like(p.value) for p in params]
@@ -456,11 +453,11 @@ class Adam:
     def step(self):
         self.t += 1
         for k, p in enumerate(self.params):
-            self.m[k] = self.b1 * self.m[k] + (1 - self.b1) * p.grad
-            self.v[k] = self.b2 * self.v[k] + (1 - self.b2) * p.grad ** 2
-            mhat = self.m[k] / (1 - self.b1 ** self.t)
-            vhat = self.v[k] / (1 - self.b2 ** self.t)
-            p.value -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            self.m[k] = ADAM_BETA1 * self.m[k] + (1 - ADAM_BETA1) * p.grad
+            self.v[k] = ADAM_BETA2 * self.v[k] + (1 - ADAM_BETA2) * p.grad ** 2
+            mhat = self.m[k] / (1 - ADAM_BETA1 ** self.t)
+            vhat = self.v[k] / (1 - ADAM_BETA2 ** self.t)
+            p.value -= self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 @dataclass(frozen=True)
@@ -539,8 +536,9 @@ def save_checkpoint(net: ResLPRNet, path) -> None:
 
 
 def load_checkpoint(path) -> ResLPRNet:
-    """Read a save_checkpoint file; a truncated or malformed one, or one with
-    a non-finite or repeated tensor, raises pointcloud.ScanParseError."""
+    """Read a save_checkpoint file; a truncated or malformed one, one with a
+    non-finite or repeated tensor, or one with bytes past its last tensor,
+    raises pointcloud.ScanParseError."""
     with open(path, "rb") as fh:
         if fh.read(4) != _CKPT_MAGIC:
             raise ScanParseError(f"{path}: not a checkpoint file")
@@ -569,8 +567,11 @@ def load_checkpoint(path) -> ResLPRNet:
             param = table.pop(name, None)
             if param is None or param.value.shape != shape:
                 raise ScanParseError(f"{path}: unexpected tensor {name} {shape}")
-            data = read_exact(fh, 4 * int(np.prod(shape)), path)
-            param.value[...] = np.frombuffer(data, dtype="<f4").reshape(shape)
-            if not np.isfinite(param.value).all():
+            data = np.frombuffer(read_exact(fh, 4 * int(np.prod(shape)), path), dtype="<f4")
+            # checked as float32: casting a signalling NaN would warn first
+            if not np.isfinite(data).all():
                 raise ScanParseError(f"{path}: non-finite values in tensor {name}")
+            param.value[...] = data.reshape(shape)
+        if fh.read(1):
+            raise ScanParseError(f"{path}: bytes past the last tensor at byte {fh.tell() - 1}")
     return net

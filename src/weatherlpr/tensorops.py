@@ -211,11 +211,6 @@ def _gain_axes(x, gain):
     return tuple(range(x.ndim - gain.ndim, x.ndim))
 
 
-def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
-    """Normalization over the channel (last) axis."""
-    return moment_norm(x, gain, bias, axes=(-1,))
-
-
 def gap(x: np.ndarray):
     """Global average pooling over the two spatial axes. (H, W, C) -> (C,)."""
     if x.ndim != 3:

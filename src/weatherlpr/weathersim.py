@@ -42,43 +42,41 @@ class FogParams:
 
 @dataclass(frozen=True)
 class ParticleParams:
-    """Snow or rain: one particle-interaction model, two default tables
-    (SnowParams, RainParams)."""
+    """Snow or rain: one particle-interaction model. A kind's subclass
+    (SnowParams, RainParams) carries its constants as class attributes."""
 
     rate: float            # precipitation rate (mm/h)
-    gamma: float           # particle differential reflectivity coefficient
-    f_s: float             # focal slope
-    f_o: float             # focal offset
-    i_max: float
-    r_max: float           # farthest detectable range (m)
-    t_r: float             # response floor at the focal point
-    hit_coeff: float       # particle-hit probability per mm/h
-    occlusion_coeff: float  # full-occlusion probability per mm/h
     seed: int = 0
 
     def __post_init__(self):
         if self.rate < 0:
             raise ValueError("rate must be non-negative")
-        if self.gamma <= 0 or self.r_max <= 0:
-            raise ValueError("gamma and r_max must be positive")
 
 
-_PARTICLE_DEFAULTS = {
-    "snow": dict(gamma=5.0, f_s=0.5, f_o=0.1, i_max=1.0, r_max=80.0, t_r=0.05,
-                 hit_coeff=0.12, occlusion_coeff=0.04),
-    "rain": dict(gamma=100.0, f_s=0.25, f_o=0.1, i_max=1.0, r_max=80.0, t_r=0.03,
-                 hit_coeff=0.006, occlusion_coeff=0.001),
-}
+class SnowParams(ParticleParams):
+    """Snowfall rate r_s (mm/h)."""
+
+    gamma = 5.0            # particle differential reflectivity coefficient
+    f_s = 0.5              # focal slope
+    f_o = 0.1              # focal offset
+    i_max = 1.0
+    r_max = 80.0           # farthest detectable range (m)
+    t_r = 0.05             # response floor at the focal point
+    hit_coeff = 0.12       # particle-hit probability per mm/h
+    occlusion_coeff = 0.04  # full-occlusion probability per mm/h
 
 
-def SnowParams(rate: float, **kw) -> ParticleParams:
-    """Snowfall rate r_s (mm/h); ``kw`` overrides the snow defaults."""
-    return ParticleParams(rate, **{**_PARTICLE_DEFAULTS["snow"], **kw})
+class RainParams(ParticleParams):
+    """Rain rate r_r (mm/h)."""
 
-
-def RainParams(rate: float, **kw) -> ParticleParams:
-    """Rain rate r_r (mm/h); ``kw`` overrides the rain defaults."""
-    return ParticleParams(rate, **{**_PARTICLE_DEFAULTS["rain"], **kw})
+    gamma = 100.0
+    f_s = 0.25
+    f_o = 0.1
+    i_max = 1.0
+    r_max = 80.0
+    t_r = 0.03
+    hit_coeff = 0.006
+    occlusion_coeff = 0.001
 
 
 @dataclass(frozen=True)
@@ -213,7 +211,7 @@ def severity_preset(kind: str, level: int, seed: int = 0):
     if kind == "fog":
         alpha, beta = _LEVELS[kind][level]
         return FogParams(alpha=alpha, beta=beta, seed=seed)
-    return ParticleParams(_LEVELS[kind][level], **_PARTICLE_DEFAULTS[kind], seed=seed)
+    return (SnowParams if kind == "snow" else RainParams)(_LEVELS[kind][level], seed=seed)
 
 
 def corrupt(cloud: PointCloud, kind: str, params):

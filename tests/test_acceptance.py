@@ -142,11 +142,14 @@ class TestCriterion2Gradients:
             gain = rng.standard_normal(c)
             bias = rng.standard_normal(c)
             gy = rng.standard_normal(x.shape)
-            _, cache = T.layer_norm(x, gain, bias)
+            _, cache = T.moment_norm(x, gain, bias, axes=(-1,))
             gx, gg, gb = T.moment_norm_backward(cache, gy)
-            ok = self.check(lambda v: (T.layer_norm(v, gain, bias)[0] * gy).sum(), x, gx)
-            ok &= self.check(lambda v: (T.layer_norm(x, v, bias)[0] * gy).sum(), gain, gg)
-            ok &= self.check(lambda v: (T.layer_norm(x, gain, v)[0] * gy).sum(), bias, gb)
+            ok = self.check(lambda v: (T.moment_norm(v, gain, bias, axes=(-1,))[0]
+                                       * gy).sum(), x, gx)
+            ok &= self.check(lambda v: (T.moment_norm(x, v, bias, axes=(-1,))[0]
+                                        * gy).sum(), gain, gg)
+            ok &= self.check(lambda v: (T.moment_norm(x, gain, v, axes=(-1,))[0]
+                                        * gy).sum(), bias, gb)
             return ok
 
         def fuse_trial(rng):

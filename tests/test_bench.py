@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -134,11 +135,17 @@ class TestManifest:
 
 class TestPoseFile:
     @pytest.mark.parametrize("line", ["0 1.0", "0 1.0 north", "zero 1.0 2.0",
-                                      "0 1e999 2.0", "0 1.0 nan"])
+                                      "0 1e999 2.0", "0 1.0 nan", "0 1.0 2.0 junk"])
     def test_malformed_line_names_path_and_line(self, tmp_path, line):
         path = tmp_path / "poses.txt"
         path.write_text(f"5 0.0 0.0\n\n{line}\n")
         with pytest.raises(ScanParseError, match="poses.txt:3: bad pose line"):
+            bench.read_pose_file(path)
+
+    def test_repeated_id_names_path_and_line(self, tmp_path):
+        path = tmp_path / "poses.txt"
+        path.write_text("0 1.0 2.0\n1 5.0 6.0\n0 3.0 4.0\n")
+        with pytest.raises(ScanParseError, match="poses.txt:3: repeated scan id 0"):
             bench.read_pose_file(path)
 
 
@@ -212,6 +219,26 @@ class TestBenchmark:
         records = bench.evaluate_queries(db, world.queries, small_config())
         with pytest.raises(metrics.MetricError):
             metrics.recall_at_n(records, 1)
+
+    def test_build_database_under_a_tracer(self):
+        # a tracer holds references to the frames it sees; the database must
+        # still grow in place under it, as under a debugger or profiler
+        world = make_synthetic_world(seed=12, n_places=5, revisit_fraction=1.0)
+        plain = bench.build_database(world.database, small_config())
+
+        def tracer(frame, event, arg):
+            return tracer
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            traced = bench.build_database(world.database, small_config())
+        finally:
+            sys.settrace(previous)
+        assert traced.ids == plain.ids
+        for e in world.queries:
+            q = lpr.make_descriptor(e.cloud)
+            assert traced.query(q, top_n=5) == plain.query(q, top_n=5)
 
     def test_restoration_pairs_shapes(self):
         world = make_synthetic_world(seed=11, n_places=3, revisit_fraction=1.0)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -67,6 +68,19 @@ def db_path(world_dir, tmp_path_factory):
 
 
 class TestIndexRetrieveEvaluate:
+    def test_index_under_a_profiler(self, world_dir, db_path, tmp_path):
+        out = tmp_path / "profiled.db"
+        previous = sys.getprofile()
+        sys.setprofile(lambda frame, event, arg: None)
+        try:
+            rc = cli.main(["index", "--in", str(world_dir / "database"),
+                           "--poses", str(world_dir / "database_poses.txt"),
+                           "--out", str(out)])
+        finally:
+            sys.setprofile(previous)
+        assert rc == 0
+        assert out.read_bytes() == db_path.read_bytes()
+
     def test_retrieve_member_scan(self, world_dir, db_path, capsys):
         scan = sorted((world_dir / "database").glob("*.bin"))[2]
         rc = cli.main(["retrieve", "--db", str(db_path), "--query", str(scan),
@@ -191,6 +205,14 @@ class TestInputErrors:
         poses.write_text("0 1.0 east\n")
         assert self.index(world_dir, poses, tmp_path) == cli.EXIT_DATA
 
+    @pytest.mark.parametrize("text", ["0 1.0 2.0 junk\n", "0 1.0 2.0\n0 3.0 4.0\n"],
+                             ids=["extra field", "repeated id"])
+    def test_pose_file_garbled_line_exits_3(self, world_dir, tmp_path, text, capsys):
+        poses = tmp_path / "poses.txt"
+        poses.write_text(text + (world_dir / "database_poses.txt").read_text())
+        assert self.index(world_dir, poses, tmp_path) == cli.EXIT_DATA
+        assert "poses.txt:" in capsys.readouterr().err
+
     def test_manifest_without_queries_exits_2(self, world_dir, tmp_path):
         path = self.manifest(world_dir, tmp_path)
         raw = json.loads(path.read_text())
@@ -278,6 +300,18 @@ class TestRestore:
         odd = tmp_path / "odd.ckpt"  # base_channels = 3, which the decoder rejects
         odd.write_bytes(blob[:12] + (3).to_bytes(4, "little") + blob[16:])
         assert restore(odd) == cli.EXIT_DATA
+
+    def test_bytes_past_last_tensor_is_data_error(self, world_dir, tmp_path):
+        ckpt = tmp_path / "net.ckpt"
+        restorenet.save_checkpoint(
+            restorenet.ResLPRNet(restorenet.NetConfig(base_channels=2)), ckpt)
+        end = ckpt.stat().st_size
+        with open(ckpt, "ab") as fh:
+            fh.write(bytes(400))
+        with pytest.raises(ScanParseError, match=f"at byte {end}"):
+            restorenet.load_checkpoint(ckpt)
+        assert cli.main(["restore", "--ckpt", str(ckpt), "--in", str(world_dir / "database"),
+                         "--out", str(tmp_path / "out"), *PROJ_ARGS]) == cli.EXIT_DATA
 
     def test_non_finite_weight_is_data_error(self, world_dir, tmp_path):
         ckpt = tmp_path / "net.ckpt"

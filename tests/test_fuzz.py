@@ -11,6 +11,9 @@ from weatherlpr.pointcloud import PointCloud, ScanParseError, read_scan, write_s
 
 FLIPS = 600
 
+# a parser that warns on garbage (say, casting a signalling NaN) fails here
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def flipped(blob, rng):
     """``blob`` with 1-3 bytes at seeded offsets set to seeded values."""

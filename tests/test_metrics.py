@@ -173,7 +173,11 @@ class TestSerialization:
         rows = [M.MetricRow("fog", k, "none", 0.5 + 0.01 * k, 0.6, 0.4, 0.5, 0.6)
                 for k in (1, 2, 3)]
         M.write_csv(rows, tmp_path / "m.csv")
-        assert M.read_csv(tmp_path / "m.csv") == rows
+        assert (tmp_path / "m.csv").read_bytes() == (
+            b"kind,level,method,auc,f1,r1,r5,r20\r\n"
+            b"fog,1,none,0.51,0.6,0.4,0.5,0.6\r\n"
+            b"fog,2,none,0.52,0.6,0.4,0.5,0.6\r\n"
+            b"fog,3,none,0.53,0.6,0.4,0.5,0.6\r\n")
 
     def test_report_bytes_stable_under_key_order(self, tmp_path):
         a = {"b": 1, "a": {"y": 2.0, "x": [1, 2]}}

@@ -157,7 +157,7 @@ class TestNorm:
     def test_layer_norm_moments(self):
         rng = np.random.default_rng(3)
         x = rng.normal(loc=5, scale=3, size=(10, 16))
-        y = T.layer_norm(x, np.ones(16), np.zeros(16))[0]
+        y = T.moment_norm(x, np.ones(16), np.zeros(16), axes=(-1,))[0]
         np.testing.assert_allclose(y.mean(axis=-1), 0.0, atol=1e-10)
         np.testing.assert_allclose(y.std(axis=-1), 1.0, atol=1e-3)
 
@@ -167,11 +167,11 @@ class TestNorm:
         g = rng.normal(size=8)
         b = rng.normal(size=8)
         proj = rng.normal(size=(4, 8))
-        _, cache = T.layer_norm(x, g, b)
+        _, cache = T.moment_norm(x, g, b, axes=(-1,))
         gx, gg, gb = T.moment_norm_backward(cache, proj)
-        check(gx, lambda v: np.sum(T.layer_norm(v, g, b)[0] * proj), x)
-        check(gg, lambda v: np.sum(T.layer_norm(x, v, b)[0] * proj), g)
-        check(gb, lambda v: np.sum(T.layer_norm(x, g, v)[0] * proj), b)
+        check(gx, lambda v: np.sum(T.moment_norm(v, g, b, axes=(-1,))[0] * proj), x)
+        check(gg, lambda v: np.sum(T.moment_norm(x, v, b, axes=(-1,))[0] * proj), g)
+        check(gb, lambda v: np.sum(T.moment_norm(x, g, v, axes=(-1,))[0] * proj), b)
 
     def test_spatial_norm_gradcheck(self):
         rng = np.random.default_rng(7)

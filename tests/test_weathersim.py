@@ -144,6 +144,28 @@ class TestPresets:
         with pytest.raises(ValueError):
             W.severity_preset("sleet", 1)
 
+    @pytest.mark.parametrize("cls, constants", [
+        (W.SnowParams, dict(gamma=5.0, f_s=0.5, f_o=0.1, i_max=1.0, r_max=80.0,
+                            t_r=0.05, hit_coeff=0.12, occlusion_coeff=0.04)),
+        (W.RainParams, dict(gamma=100.0, f_s=0.25, f_o=0.1, i_max=1.0, r_max=80.0,
+                            t_r=0.03, hit_coeff=0.006, occlusion_coeff=0.001)),
+    ])
+    def test_particle_constants_pinned(self, cls, constants):
+        assert {name: getattr(cls, name) for name in constants} == constants
+
+    def test_preset_builds_the_kind_class(self):
+        p = W.severity_preset("snow", 2, seed=4)
+        assert isinstance(p, W.SnowParams)
+        assert p == W.SnowParams(1.5, seed=4)
+        assert W.severity_preset("rain", 1) == W.RainParams(10.0)
+        assert W.SnowParams(1.5) != W.RainParams(1.5)
+
+    def test_particle_constants_not_settable(self):
+        with pytest.raises(TypeError):
+            W.SnowParams(1.0, gamma=3.0)
+        with pytest.raises(ValueError):
+            W.RainParams(-1.0)
+
 
 class TestAnnotations:
     def test_sidecar_roundtrip(self, tmp_path):
