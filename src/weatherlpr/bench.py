@@ -129,12 +129,14 @@ class RunConfig:
             raise ConfigError(f"unknown preprocessing: {self.preprocessing}")
         if self.protocol not in ("kitti", "nclt"):
             raise ConfigError(f"unknown protocol: {self.protocol}")
-        bad_kinds = [k for k in self.kinds if k not in weathersim.CORRUPTION_KINDS]
-        if bad_kinds:
-            raise ConfigError(f"unknown corruption kinds: {bad_kinds}")
-        bad_levels = [v for v in self.levels if v not in weathersim.SEVERITY_LEVELS]
-        if bad_levels:
-            raise ConfigError(f"unknown severity levels: {bad_levels}")
+        for name, values, known in (
+                ("corruption kinds", self.kinds, weathersim.CORRUPTION_KINDS),
+                ("severity levels", self.levels, weathersim.SEVERITY_LEVELS)):
+            bad = [v for v in values if v not in known]
+            if bad:
+                raise ConfigError(f"unknown {name}: {bad}")
+            if len(set(values)) != len(values):
+                raise ConfigError(f"repeated {name}: {list(values)}")
         if not isinstance(self.top_n, int) or self.top_n < 1:
             raise ConfigError(f"top_n must be an integer >= 1, got {self.top_n!r}")
 
@@ -332,41 +334,32 @@ def run_benchmark(database_entries, query_entries, config: RunConfig,
             raise ConfigError("restorenet preprocessing needs a checkpoint or net")
         net = load_checkpoint(config.checkpoint)
     use_net = net if config.preprocessing == "restorenet" else None
-    method = config.preprocessing
 
     db = build_database(database_entries, config)
 
-    def stage(label, fn):
+    rows, clean_records = [], None
+    grid = [(kind, level) for kind in config.kinds for level in config.levels]
+    for kind, level in [("clean", 0)] + grid:
+        clean = kind == "clean"
+        corrupt_with = None if clean else (
+            kind, weathersim.severity_preset(kind, level, seed=config.seed))
         try:
-            return fn()
+            records = evaluate_queries(db, query_entries, config, net=use_net,
+                                       corrupt_with=corrupt_with)
         except ValueError:
             raise  # ConfigError, ScanParseError, MetricError keep their exit code
         except Exception as exc:
+            label = "evaluate_clean" if clean else f"evaluate_{kind}_{level}"
             raise RuntimeError(f"benchmark stage '{label}' failed: {exc}") from exc
-
-    clean_records = stage("evaluate_clean", lambda: evaluate_queries(
-        db, query_entries, config, net=use_net))
-    clean_row = metrics.score_records(clean_records, "clean", 0, method,
-                                      config.pos_radius)
-    alp_clean = clean_row.alp(config.protocol)
-
-    rows = [clean_row]
-    per_kind_alps = {}
-    for kind in config.kinds:
-        alps = []
-        for level in config.levels:
-            params = weathersim.severity_preset(kind, level, seed=config.seed)
-            records = stage(f"evaluate_{kind}_{level}", lambda k=kind, p=params:
-                            evaluate_queries(db, query_entries, config,
-                                             net=use_net, corrupt_with=(k, p)))
-            row = metrics.score_records(records, kind, level, method,
-                                        config.pos_radius)
-            rows.append(row)
-            alps.append(row.alp(config.protocol))
-        per_kind_alps[kind] = alps
+        if clean:
+            clean_records = records
+        rows.append(metrics.score_records(records, kind, level, config.preprocessing,
+                                          config.pos_radius))
+    alp_clean = rows[0].alp(config.protocol)
 
     sr = {}
-    for kind, alps in per_kind_alps.items():
+    for kind in config.kinds:
+        alps = [row.alp(config.protocol) for row in rows if row.kind == kind]
         if len(alps) == 3:
             sr[kind] = metrics.stability_rate(alps, alp_clean)
     msr_value = float(sum(sr.values())) / len(sr) if sr else None

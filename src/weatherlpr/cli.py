@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--kind", required=True, choices=weathersim.CORRUPTION_KINDS)
-    p.add_argument("--level", required=True, type=int, choices=(1, 2, 3))
+    p.add_argument("--level", required=True, type=int, choices=weathersim.SEVERITY_LEVELS)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_corrupt)
 

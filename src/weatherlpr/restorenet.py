@@ -119,7 +119,6 @@ class FeatureMix:
     def __init__(self, rng, channels, token_cap, name="mix"):
         if channels % 2:
             raise ValueError("channel mixing with group size 2 needs even channels")
-        self.c = channels
         self.cap = token_cap
         self.gconv = Conv2d(rng, channels, channels, k=3, groups=channels // 2,
                             name=f"{name}.gconv")
@@ -158,7 +157,6 @@ class TransformerFuse:
 
     def __init__(self, rng, channels, token_cap, name="fuse"):
         c = channels
-        self.c = c
         self.cap = token_cap
         self.wq = Linear(rng, c, c, name=f"{name}.wq")
         self.wk = Linear(rng, c, c, name=f"{name}.wk")
@@ -212,7 +210,6 @@ class ContextGuide:
 
     def __init__(self, rng, channels, n_contexts, name="ctg"):
         self.c = channels
-        self.k = n_contexts
         self.fc = Linear(rng, channels, n_contexts, name=f"{name}.fc")
         self.ce = Param(f"{name}.ce", _init(rng, (n_contexts, channels), channels))
         self.mlp = Linear(rng, channels, channels, name=f"{name}.mlp")
@@ -389,17 +386,15 @@ class ResLPRNet:
         g = gy * self._clip_mask
         gimg = g.copy()  # residual path
         gx = self.outconv.backward(g)
-        # decoder k consumed skip e[2 - k]; collect skip grads by skip index
-        gskips = [None, None, None]
-        for k in (2, 1, 0):
-            gx = self.guides[k].backward(gx)
-            gx, gskip = self.decoders[k].backward(gx)
-            gskips[2 - k] = gskip
+        # decoder k consumed skip 2 - k, so reversed they yield skip grads in order
+        gskips = []
+        for dec, ctg in zip(self.decoders[::-1], self.guides[::-1]):
+            gx, gskip = dec.backward(ctg.backward(gx))
+            gskips.append(gskip)
         ga, gb = self.bottleneck.backward(gx)
         gx = ga + gb
-        for k in (2, 1):
-            gx = self.encoders[k].backward(gx) + gskips[k]
-        gx = self.encoders[0].backward(gx) + gskips[0]
+        for enc, gskip in zip(self.encoders[::-1], gskips[::-1]):
+            gx = enc.backward(gx) + gskip
         gimg += self.embed.backward(gx)
         return gimg
 

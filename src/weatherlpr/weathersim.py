@@ -1,5 +1,8 @@
 """Physics-based fog / snow / rain corruption of LiDAR scans.
 
+``corrupt(cloud, kind, params)`` is the one entry point. ``_KINDS`` has one
+row per kind: its parameter class, the model that runs it and its presets.
+
 Fog: each return is split into a hard-target response i * exp(-2*alpha*R0)
 and a soft (backscatter) response i * R0^2 * beta * FOG_IT_MAX; whichever is
 stronger wins. Soft winners are relocated toward the sensor by a seeded
@@ -110,7 +113,7 @@ def scan_rng(seed: int, frame_id: str) -> np.random.Generator:
         np.random.SeedSequence([int(seed), zlib.crc32(frame_id.encode())]))
 
 
-def corrupt_fog(cloud: PointCloud, p: FogParams):
+def _fog_model(cloud: PointCloud, p: FogParams):
     rng = scan_rng(p.seed, cloud.frame_id)
     n = len(cloud)
     r0 = cloud.ranges
@@ -144,7 +147,7 @@ def corrupt_fog(cloud: PointCloud, p: FogParams):
     return PointCloud(pts[keep], frame_id=cloud.frame_id), ann
 
 
-def corrupt_particles(cloud: PointCloud, p: ParticleParams):
+def _particle_model(cloud: PointCloud, p: ParticleParams):
     """Snow and rain; see module docstring."""
     rng = scan_rng(p.seed, cloud.frame_id)
     n = len(cloud)
@@ -162,8 +165,7 @@ def corrupt_particles(cloud: PointCloud, p: ParticleParams):
     occluded = (~hit) & (u_occ < p_occ) & eligible
 
     r_star = SCATTER_MIN + u_range * (np.minimum(r0, p.r_max) - SCATTER_MIN)
-    i_snow = snow_intensity(r_star, f_s=p.f_s, f_o=p.f_o, i_max=p.i_max,
-                            r_max=p.r_max, t_r=p.t_r)
+    i_snow = snow_intensity(r_star, p)
 
     pts = cloud.points.copy()
     scale = np.where(hit, p.rate / p.gamma, 1.0)
@@ -182,44 +184,44 @@ def corrupt_particles(cloud: PointCloud, p: ParticleParams):
     return PointCloud(pts[keep], frame_id=cloud.frame_id), ann
 
 
-corrupt_snow = corrupt_rain = corrupt_particles
-
-
-def snow_intensity(r_star, *, f_s, f_o, i_max, r_max, t_r):
-    """Focal-curve particle return response, clipped to [0, 1]."""
-    raw = t_r + i_max * f_s * np.abs(f_o - (1.0 - r_star / r_max)) ** 2
+def snow_intensity(r_star, p: ParticleParams):
+    """Focal-curve particle return response of ``p``'s kind, clipped to [0, 1]."""
+    raw = p.t_r + p.i_max * p.f_s * np.abs(p.f_o - (1.0 - r_star / p.r_max)) ** 2
     return np.clip(raw, 0.0, 1.0)
 
 
-# severity presets; the three levels per corruption are ordered mild to severe
-_LEVELS = {
-    "fog": {1: (0.003, 0.008), 2: (0.006, 0.02), 3: (0.01, 0.05)},   # alpha, beta
-    "snow": {1: 0.5, 2: 1.5, 3: 2.5},                                # r_s mm/h
-    "rain": {1: 10.0, 2: 25.0, 3: 50.0},                             # r_r mm/h
+# kind -> (parameter class, model, {level: preset}) in the report's order; the
+# presets, mild to severe, are snow's and rain's rate (mm/h) and fog's alpha, beta
+_KINDS = {
+    "snow": (SnowParams, _particle_model, {1: (0.5,), 2: (1.5,), 3: (2.5,)}),
+    "fog": (FogParams, _fog_model, {1: (0.003, 0.008), 2: (0.006, 0.02), 3: (0.01, 0.05)}),
+    "rain": (RainParams, _particle_model, {1: (10.0,), 2: (25.0,), 3: (50.0,)}),
 }
 
-CORRUPTION_KINDS = ("snow", "fog", "rain")
+CORRUPTION_KINDS = tuple(_KINDS)
 SEVERITY_LEVELS = (1, 2, 3)
+
+
+def _kind(kind: str):
+    if kind not in _KINDS:
+        raise ValueError(f"unknown corruption kind: {kind}")
+    return _KINDS[kind]
 
 
 def severity_preset(kind: str, level: int, seed: int = 0):
     """Documented preset table mapping (kind, level) to typed parameters."""
-    if kind not in _LEVELS:
-        raise ValueError(f"unknown corruption kind: {kind}")
-    if level not in _LEVELS[kind]:
+    cls, _, levels = _kind(kind)
+    if level not in SEVERITY_LEVELS:
         raise ValueError(f"unknown {kind} severity level: {level}")
-    if kind == "fog":
-        alpha, beta = _LEVELS[kind][level]
-        return FogParams(alpha=alpha, beta=beta, seed=seed)
-    return (SnowParams if kind == "snow" else RainParams)(_LEVELS[kind][level], seed=seed)
+    return cls(*levels[level], seed=seed)
 
 
 def corrupt(cloud: PointCloud, kind: str, params):
-    if kind == "fog":
-        return corrupt_fog(cloud, params)
-    if kind in ("snow", "rain"):
-        return corrupt_particles(cloud, params)
-    raise ValueError(f"unknown corruption kind: {kind}")
+    """(corrupted cloud, CorruptionAnnotation); ``params`` is of the kind's class."""
+    cls, model, _ = _kind(kind)
+    if not isinstance(params, cls):
+        raise ValueError(f"{kind} takes {cls.__name__}, not {type(params).__name__}")
+    return model(cloud, params)
 
 
 def write_annotations(records, path) -> None:

@@ -153,7 +153,9 @@ class TestRunConfig:
     def test_invalid_choices_rejected(self):
         for bad in ({"preprocessing": "magic"}, {"protocol": "oxford"},
                     {"kinds": ("fog", "sleet")}, {"levels": (1, 4)}, {"levels": (0,)},
-                    {"top_n": 0}, {"top_n": "5"}):
+                    {"top_n": 0}, {"top_n": "5"},
+                    # a repeat would score one severity twice into the SR
+                    {"kinds": ("fog", "fog")}, {"levels": (1, 1, 2)}):
             with pytest.raises(ConfigError):
                 RunConfig(**bad)
 
@@ -201,10 +203,21 @@ class TestBenchmark:
 
     def test_stage_failure_names_stage(self, monkeypatch):
         world = make_synthetic_world(seed=9, n_places=4, revisit_fraction=1.0)
-        # not a parameter set: the corruption stage blows up
+        config = small_config(levels=(1,))
+        # not a parameter set: corrupt rejects it, and a ValueError keeps its type
         fixed_preset(monkeypatch, object())
+        with pytest.raises(ValueError, match="fog takes FogParams, not object"):
+            run_benchmark(world.database, world.queries, config)
+
+        def fail(*args, **kwargs):
+            raise ZeroDivisionError("boom")
+
+        monkeypatch.setattr(weathersim, "corrupt", fail)
         with pytest.raises(RuntimeError, match="evaluate_fog_1"):
-            run_benchmark(world.database, world.queries, small_config(levels=(1,)))
+            run_benchmark(world.database, world.queries, config)
+        monkeypatch.setattr(lpr.PlaceDatabase, "query", fail)
+        with pytest.raises(RuntimeError, match="evaluate_clean"):
+            run_benchmark(world.database, world.queries, config)
 
     def test_total_dropout_still_scores(self, monkeypatch):
         # a corruption that erases every return degrades scores, not the run

@@ -252,7 +252,8 @@ class TestInputErrors:
         {"synthetic": {"n_places": 3}, "manifest": "nowhere.json", "kinds": ["fog"],
          "levels": [1]},
         {"synthetic": {"n_places": 40}, "kinds": ["fog", "sleet"]},
-    ], ids=["both_sources", "sleet"])
+        {"synthetic": {"n_places": 40}, "kinds": ["fog"], "levels": [1, 1, 2]},
+    ], ids=["both_sources", "sleet", "repeated_level"])
     def test_rejected_before_any_stage_runs(self, tmp_path, cfg):
         assert self.bench(cfg, tmp_path) == cli.EXIT_CONFIG
         assert not (tmp_path / "run" / "report.json").exists()

@@ -101,8 +101,8 @@ class TestSidecarFuzz:
     def blob(self, tmp_path):
         records = []
         for seed, fid in ((0, "000000"), (1, "000001")):
-            _, ann = weathersim.corrupt_snow(cloud(seed, frame_id=fid),
-                                             weathersim.SnowParams(rate=2.5, seed=2))
+            _, ann = weathersim.corrupt(cloud(seed, frame_id=fid), "snow",
+                                        weathersim.SnowParams(rate=2.5, seed=2))
             records.append((fid, ann))
         weathersim.write_annotations(records, tmp_path / "annotations.txt")
         return (tmp_path / "annotations.txt").read_bytes()

@@ -18,7 +18,7 @@ def random_cloud(seed, n=2000, frame_id="000000"):
 class TestFog:
     def test_zero_parameters_identity(self):
         cloud = random_cloud(0)
-        out, ann = W.corrupt_fog(cloud, W.FogParams(alpha=0.0, beta=0.0))
+        out, ann = W.corrupt(cloud, "fog", W.FogParams(alpha=0.0, beta=0.0))
         np.testing.assert_array_equal(out.points, cloud.points)
         assert ann.noise_count == 0
         assert ann.dropped.size == 0
@@ -26,7 +26,7 @@ class TestFog:
     def test_large_beta_relocates_far_points(self):
         cloud = random_cloud(1)
         p = W.FogParams(alpha=0.01, beta=1.0)
-        out, ann = W.corrupt_fog(cloud, p)
+        out, ann = W.corrupt(cloud, "fog", p)
         far = cloud.ranges[ann.source_index] > 10.0
         # with beta=1 every far return is dominated by backscatter
         assert np.all(ann.noise_mask[far])
@@ -36,7 +36,7 @@ class TestFog:
     def test_branch_matches_inequality_oracle(self):
         cloud = random_cloud(2)
         p = W.FogParams(alpha=0.006, beta=0.02)
-        out, ann = W.corrupt_fog(cloud, p)
+        out, ann = W.corrupt(cloud, "fog", p)
         r0 = cloud.ranges[ann.source_index]
         i0 = cloud.intensity[ann.source_index]
         i_hard = i0 * np.exp(-2 * p.alpha * r0)
@@ -49,14 +49,14 @@ class TestFog:
 
     def test_noise_monotone_in_beta(self):
         cloud = random_cloud(3)
-        mild = W.corrupt_fog(cloud, W.FogParams(alpha=0.003, beta=0.008))[1]
-        severe = W.corrupt_fog(cloud, W.FogParams(alpha=0.01, beta=0.05))[1]
+        mild = W.corrupt(cloud, "fog", W.FogParams(alpha=0.003, beta=0.008))[1]
+        severe = W.corrupt(cloud, "fog", W.FogParams(alpha=0.01, beta=0.05))[1]
         assert mild.noise_count <= severe.noise_count
 
     def test_dropped_points_were_attenuated(self):
         cloud = random_cloud(4)
         p = W.FogParams(alpha=0.05, beta=0.0)
-        out, ann = W.corrupt_fog(cloud, p)
+        out, ann = W.corrupt(cloud, "fog", p)
         assert ann.dropped.size > 0
         i_hard = cloud.intensity[ann.dropped] * np.exp(
             -2 * p.alpha * cloud.ranges[ann.dropped])
@@ -67,20 +67,20 @@ class TestFog:
 class TestParticleModels:
     def test_zero_rate_identity(self):
         cloud = random_cloud(5)
-        for fn, params in ((W.corrupt_snow, W.SnowParams(rate=0.0)),
-                           (W.corrupt_rain, W.RainParams(rate=0.0))):
-            out, ann = fn(cloud, params)
+        for kind, params in (("snow", W.SnowParams(rate=0.0)),
+                             ("rain", W.RainParams(rate=0.0))):
+            out, ann = W.corrupt(cloud, kind, params)
             np.testing.assert_array_equal(out.points, cloud.points)
             assert ann.noise_count == 0 and ann.dropped.size == 0
 
     def test_snow_noise_monotone_in_rate(self):
         cloud = random_cloud(6)
-        counts = [W.corrupt_snow(cloud, W.SnowParams(rate=r, seed=9))[1].noise_count
+        counts = [W.corrupt(cloud, "snow", W.SnowParams(rate=r, seed=9))[1].noise_count
                   for r in (0.5, 1.5, 2.5, 7.5)]
         assert counts == sorted(counts)
         # noise sets grow, not merely counts
-        a = W.corrupt_snow(cloud, W.SnowParams(rate=2.5, seed=9))[1]
-        b = W.corrupt_snow(cloud, W.SnowParams(rate=7.5, seed=9))[1]
+        a = W.corrupt(cloud, "snow", W.SnowParams(rate=2.5, seed=9))[1]
+        b = W.corrupt(cloud, "snow", W.SnowParams(rate=7.5, seed=9))[1]
         small = set(a.source_index[a.noise_mask])
         big = set(b.source_index[b.noise_mask])
         assert small <= big
@@ -88,20 +88,19 @@ class TestParticleModels:
     def test_snow_intensity_formula_fidelity(self):
         cloud = random_cloud(7)
         p = W.SnowParams(rate=2.5, seed=3)
-        out, ann = W.corrupt_snow(cloud, p)
+        out, ann = W.corrupt(cloud, "snow", p)
         noisy = ann.noise_mask
         assert noisy.sum() > 0
         # recompute the focal response from the logged particle ranges
-        expect = W.snow_intensity(ann.particle_range[noisy], f_s=p.f_s, f_o=p.f_o,
-                                  i_max=p.i_max, r_max=p.r_max, t_r=p.t_r)
+        expect = W.snow_intensity(ann.particle_range[noisy], p)
         np.testing.assert_allclose(out.intensity[noisy], expect, atol=1e-12)
         assert np.all(np.isnan(ann.particle_range[~noisy]))
 
     def test_rain_determinism(self):
         cloud = random_cloud(8)
         p = W.RainParams(rate=25.0, seed=17)
-        a, _ = W.corrupt_rain(cloud, p)
-        b, _ = W.corrupt_rain(cloud, p)
+        a, _ = W.corrupt(cloud, "rain", p)
+        b, _ = W.corrupt(cloud, "rain", p)
         np.testing.assert_array_equal(a.points, b.points)
 
     def test_rain_noise_fraction_increases_across_presets(self):
@@ -109,16 +108,25 @@ class TestParticleModels:
         fracs = []
         for level in (1, 2, 3):
             params = W.severity_preset("rain", level, seed=4)
-            _, ann = W.corrupt_rain(cloud, params)
+            _, ann = W.corrupt(cloud, "rain", params)
             fracs.append(ann.noise_count / len(cloud))
         assert fracs[0] < fracs[1] < fracs[2]
 
     def test_clean_points_unchanged(self):
         cloud = random_cloud(10)
-        out, ann = W.corrupt_snow(cloud, W.SnowParams(rate=1.5))
+        out, ann = W.corrupt(cloud, "snow", W.SnowParams(rate=1.5))
         clean = ~ann.noise_mask
         np.testing.assert_array_equal(out.points[clean],
                                       cloud.points[ann.source_index[clean]])
+
+    @pytest.mark.parametrize("kind, params, message", [
+        ("rain", W.SnowParams(2.5, seed=1), "rain takes RainParams, not SnowParams"),
+        ("snow", W.FogParams(0.01, 0.05), "snow takes SnowParams, not FogParams"),
+        ("sleet", W.SnowParams(1.0), "unknown corruption kind: sleet"),
+    ], ids=["rain-snow", "snow-fog", "unknown-kind"])
+    def test_kind_takes_only_its_own_parameters(self, kind, params, message):
+        with pytest.raises(ValueError, match=message):
+            W.corrupt(random_cloud(1), kind, params)
 
     def test_intensities_stay_in_unit_interval(self):
         cloud = random_cloud(11)
@@ -172,7 +180,7 @@ class TestAnnotations:
         records = []
         for seed, fid in ((0, "000000"), (1, "000001")):
             cloud = random_cloud(seed, n=300, frame_id=fid)
-            _, ann = W.corrupt_snow(cloud, W.SnowParams(rate=2.5, seed=2))
+            _, ann = W.corrupt(cloud, "snow", W.SnowParams(rate=2.5, seed=2))
             records.append((fid, ann))
         path = tmp_path / "ann.txt"
         W.write_annotations(records, path)
@@ -205,6 +213,6 @@ class TestAnnotations:
         a = random_cloud(12, frame_id="000010")
         b = PointCloud(a.points, frame_id="000011")
         p = W.SnowParams(rate=2.5, seed=0)
-        _, ann_a = W.corrupt_snow(a, p)
-        _, ann_b = W.corrupt_snow(b, p)
+        _, ann_a = W.corrupt(a, "snow", p)
+        _, ann_b = W.corrupt(b, "snow", p)
         assert not np.array_equal(ann_a.noise_mask, ann_b.noise_mask)
