@@ -129,9 +129,14 @@ class RunConfig:
             raise ConfigError(f"unknown preprocessing: {self.preprocessing}")
         if self.protocol not in ("kitti", "nclt"):
             raise ConfigError(f"unknown protocol: {self.protocol}")
-        for name, values, known in (
-                ("corruption kinds", self.kinds, weathersim.CORRUPTION_KINDS),
-                ("severity levels", self.levels, weathersim.SEVERITY_LEVELS)):
+        for field_name, name, values, known, element in (
+                ("kinds", "corruption kinds", self.kinds, weathersim.CORRUPTION_KINDS, str),
+                ("levels", "severity levels", self.levels, weathersim.SEVERITY_LEVELS, int)):
+            # checked first: `in` below would take a string as its letters and True as 1
+            if not isinstance(values, (list, tuple)) or any(
+                    isinstance(v, bool) or not isinstance(v, element) for v in values):
+                raise ConfigError(f"{field_name} must be a list of {element.__name__} "
+                                  f"values, got {values!r}")
             bad = [v for v in values if v not in known]
             if bad:
                 raise ConfigError(f"unknown {name}: {bad}")
@@ -384,10 +389,12 @@ def run_benchmark(database_entries, query_entries, config: RunConfig,
 
 def _write_recall_curves(records, config: RunConfig, path) -> None:
     """Plot-ready Recall@N over N = 1..top_n for the clean query set."""
+    ns = range(1, config.top_n + 1)
+    recalls = metrics.recall_at_ns(records, ns, config.pos_radius)
     with open(path, "w") as fh:
         fh.write("n,recall\n")
-        for n in range(1, config.top_n + 1):
-            fh.write(f"{n},{metrics.recall_at_n(records, n, config.pos_radius)}\n")
+        for n, recall in zip(ns, recalls):
+            fh.write(f"{n},{recall}\n")
 
 
 def make_restoration_pairs(entries, kind: str, levels, config: RunConfig):

@@ -45,26 +45,39 @@ def _match_correct(rec: RetrievalRecord, scan_id: int, pos_radius: float) -> boo
     return _geom_dist(rec.query_pose, rec.db_poses[scan_id]) <= pos_radius
 
 
+def _judge(records, pos_radius: float):
+    """Each record's ground truth, evaluated once: (whether the database holds
+    a positive for it, the 1-based rank of its first correct match or 0)."""
+    return [(has_positive(rec, pos_radius),
+             next((rank for rank, (sid, _) in enumerate(rec.matches, 1)
+                   if _match_correct(rec, sid, pos_radius)), 0))
+            for rec in records]
+
+
+def _recalls(truth, ns) -> list:
+    total = sum(has_pos for has_pos, _ in truth)
+    if total == 0:
+        raise MetricError("no query has an achievable positive")
+    # a correct match is a positive, so only queries with one can hit
+    return [sum(0 < first <= n for _, first in truth) / total for n in ns]
+
+
 def recall_at_n(records, n: int, pos_radius: float = DEFAULT_POS_RADIUS) -> float:
     """Fraction of queries with a true positive in the top n.
 
     Queries with no achievable positive anywhere in the database are
     excluded from the denominator.
     """
-    if n < 1:
+    return recall_at_ns(records, [n], pos_radius)[0]
+
+
+def recall_at_ns(records, ns, pos_radius: float = DEFAULT_POS_RADIUS) -> list:
+    """``recall_at_n`` for each n in ``ns``, judging each record once."""
+    if any(n < 1 for n in ns):
         raise ValueError("n must be >= 1")
     if not records:
         raise MetricError("recall over an empty record set")
-    hits = total = 0
-    for rec in records:
-        if not has_positive(rec, pos_radius):
-            continue
-        total += 1
-        if any(_match_correct(rec, sid, pos_radius) for sid, _ in rec.matches[:n]):
-            hits += 1
-    if total == 0:
-        raise MetricError("no query has an achievable positive")
-    return hits / total
+    return _recalls(_judge(records, pos_radius), ns)
 
 
 def auc_f1(records, pos_radius: float = DEFAULT_POS_RADIUS):
@@ -77,15 +90,17 @@ def auc_f1(records, pos_radius: float = DEFAULT_POS_RADIUS):
     the trapezoidal area under the precision-recall curve; F1 is maximized
     over the sweep.
     """
+    return _auc_f1(records, _judge(records, pos_radius))
+
+
+def _auc_f1(records, truth):
     if not records:
         raise MetricError("auc_f1 over an empty record set")
     top1 = []
-    for rec in records:
+    for rec, (has_pos, first) in zip(records, truth):
         if not rec.matches:
             raise MetricError(f"query {rec.query_id} has no matches")
-        sid, dist = rec.matches[0]
-        top1.append((dist, _match_correct(rec, sid, pos_radius),
-                     has_positive(rec, pos_radius)))
+        top1.append((rec.matches[0][1], first == 1, has_pos))
     if not any(hp for _, _, hp in top1):
         raise MetricError("all-negative ground truth: AUC undefined")
     curve = []
@@ -141,13 +156,11 @@ class MetricRow:
 
 def score_records(records, kind: str, level: int, method: str,
                   pos_radius: float = DEFAULT_POS_RADIUS) -> MetricRow:
-    auc, f1 = auc_f1(records, pos_radius)
-    return MetricRow(
-        kind=kind, level=level, method=method, auc=auc, f1=f1,
-        r1=recall_at_n(records, 1, pos_radius),
-        r5=recall_at_n(records, 5, pos_radius),
-        r20=recall_at_n(records, 20, pos_radius),
-    )
+    truth = _judge(records, pos_radius)
+    auc, f1 = _auc_f1(records, truth)
+    r1, r5, r20 = _recalls(truth, (1, 5, 20))
+    return MetricRow(kind=kind, level=level, method=method, auc=auc, f1=f1,
+                     r1=r1, r5=r5, r20=r20)
 
 
 def stability_rate(per_severity, clean_alp: float) -> float:

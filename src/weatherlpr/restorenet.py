@@ -168,24 +168,32 @@ class TransformerFuse:
     def forward(self, fw, fc, keep=True):
         if fw.shape != fc.shape:
             raise ValueError(f"fuse inputs differ: {fw.shape} vs {fc.shape}")
-        h, w, c = fw.shape
-        q = self.wq.forward(fw, keep).reshape(-1, c)
-        k = self.wk.forward(fc, keep).reshape(-1, c)
-        v = self.wv.forward(fc, keep).reshape(-1, c)
-        stride = _pool_stride(k.shape[0], self.cap)
-        kp, vp = k[::stride], v[::stride]
-        attn, acache = ops.attention(q, kp.T, vp, math.sqrt(c), keep=keep)
-        attn = attn.reshape(h, w, c)
-        fatt = self.norm.forward(fw + attn, keep)
-        hmid = self.ff1.forward(fatt, keep)
-        hact, gcache = ops.gelu(hmid)
-        out = fatt + self.ff2.forward(hact, keep)
-        self._cache = (q, kp, acache, stride, gcache, (h, w, c)) if keep else None
+        fatt = self.norm.forward(self._attend(fw, fc, keep), keep)
+        hact, gcache = ops.gelu(self.ff1.forward(fatt, keep), keep=keep)
+        out = self.ff2.forward(hact, keep)
+        out += fatt
+        self._gelu_cache = gcache
         return out
 
+    def _attend(self, fw, fc, keep):
+        """fw plus its cross-attention over fc, the pre-norm sum. Only the
+        pooled keys and values outlive their projections, and q outlives
+        the attention only when ``keep`` is set."""
+        h, w, c = fw.shape
+        stride = _pool_stride(h * w, self.cap)
+        kp = self.wk.forward(fc, keep).reshape(-1, c)[::stride].copy()
+        vp = self.wv.forward(fc, keep).reshape(-1, c)[::stride].copy()
+        q = self.wq.forward(fw, keep).reshape(-1, c)
+        attn, acache = ops.attention(q, kp.T, vp, math.sqrt(c), keep=keep)
+        self._attn_cache = (q, kp, acache, stride, (h, w, c)) if keep else None
+        attn = attn.reshape(h, w, c)
+        attn += fw
+        return attn
+
     def backward(self, gy):
-        q, kp, acache, stride, gcache, (h, w, c) = self._cache
-        gfatt = gy + self.ff1.backward(ops.gelu_backward(gcache, self.ff2.backward(gy)))
+        q, kp, acache, stride, (h, w, c) = self._attn_cache
+        gfatt = gy + self.ff1.backward(ops.gelu_backward(self._gelu_cache,
+                                                         self.ff2.backward(gy)))
         gsum = self.norm.backward(gfatt)
         gfw = gsum.copy()
         glog, gvp = ops.attention_backward(acache, gsum.reshape(-1, c))
@@ -287,10 +295,10 @@ class WatDecodeBlock:
         self.fuse = TransformerFuse(rng, cout, token_cap, name=f"{name}.fuse")
 
     def forward(self, x, skip, keep=True):
-        up = self.proj.forward(self.upsample.forward(x, keep), keep)
-        if up.shape != skip.shape:
-            raise ValueError(f"skip shape {skip.shape} != decoder path {up.shape}")
-        merged = up + skip
+        merged = self.proj.forward(self.upsample.forward(x, keep), keep)
+        if merged.shape != skip.shape:
+            raise ValueError(f"skip shape {skip.shape} != decoder path {merged.shape}")
+        merged += skip
         fc = self.mix.forward(merged, keep)
         return self.fuse.forward(merged, fc, keep)
 

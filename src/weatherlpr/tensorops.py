@@ -114,7 +114,9 @@ def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     b: (cout,)."""
     if x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear channel mismatch: {x.shape[-1]} vs {w.shape[0]}")
-    return x @ w + b, (x, w)
+    y = x @ w
+    y += b
+    return y, (x, w)
 
 
 def linear_backward(cache, gy: np.ndarray):
@@ -189,10 +191,13 @@ def moment_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, axes):
     """
     axes = tuple(axes)
     mu = x.mean(axis=axes, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=axes, keepdims=True)
+    xhat = x - mu
+    var = np.square(xhat).mean(axis=axes, keepdims=True)
     s = np.sqrt(var + EPS_NORM)
-    xhat = (x - mu) / s
-    return xhat * gain + bias, (xhat, s, gain, axes)
+    xhat /= s
+    y = xhat * gain
+    y += bias
+    return y, (xhat, s, gain, axes)
 
 
 def moment_norm_backward(cache, gy: np.ndarray):
@@ -226,10 +231,22 @@ def gap_backward(cache, gy: np.ndarray):
 _GELU_K = math.sqrt(2.0 / math.pi)
 
 
-def gelu(x: np.ndarray):
-    inner = _GELU_K * (x + 0.044715 * x ** 3)
-    t = np.tanh(inner)
-    return 0.5 * x * (1.0 + t), (x, t)
+def gelu(x: np.ndarray, keep: bool = True):
+    """0.5 x (1 + tanh(k (x + 0.044715 x^3))), built in one buffer. The cache
+    is (x, tanh) when ``keep`` is set, for ``gelu_backward``; otherwise it is
+    None and the tanh buffer becomes the output."""
+    t = x ** 3
+    t *= 0.044715
+    t += x
+    t *= _GELU_K
+    np.tanh(t, out=t)
+    if keep:
+        y = 0.5 * x
+        y *= 1.0 + t
+        return y, (x, t)
+    t += 1.0
+    t *= 0.5 * x
+    return t, None
 
 
 def gelu_backward(cache, gy: np.ndarray):

@@ -159,6 +159,15 @@ class TestRunConfig:
             with pytest.raises(ConfigError):
                 RunConfig(**bad)
 
+    @pytest.mark.parametrize("field, value", [
+        ("kinds", 5), ("kinds", "fog"), ("kinds", None), ("kinds", {"fog": 1}),
+        ("kinds", ["fog", 3]), ("levels", 2), ("levels", "123"), ("levels", [1.0, 2, 3]),
+        ("levels", [True, 2]), ("levels", (1, None)),
+    ])
+    def test_kinds_and_levels_must_be_lists_of_their_type(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be a list"):
+            RunConfig(**{field: value})
+
 
 def fixed_preset(monkeypatch, params):
     """Every (kind, level) of the run corrupts with ``params``."""

@@ -253,7 +253,13 @@ class TestInputErrors:
          "levels": [1]},
         {"synthetic": {"n_places": 40}, "kinds": ["fog", "sleet"]},
         {"synthetic": {"n_places": 40}, "kinds": ["fog"], "levels": [1, 1, 2]},
-    ], ids=["both_sources", "sleet", "repeated_level"])
+        {"synthetic": {"n_places": 40}, "kinds": 5},
+        {"synthetic": {"n_places": 40}, "levels": 2},
+        {"synthetic": {"n_places": 40}, "kinds": "fog"},
+        {"synthetic": {"n_places": 40}, "kinds": ["fog"], "levels": [1.0, 2, 3]},
+        {"synthetic": {"n_places": 40}, "kinds": ["fog"], "levels": [True, 2, 3]},
+    ], ids=["both_sources", "sleet", "repeated_level", "scalar_kinds", "scalar_levels",
+            "string_kinds", "float_level", "bool_level"])
     def test_rejected_before_any_stage_runs(self, tmp_path, cfg):
         assert self.bench(cfg, tmp_path) == cli.EXIT_CONFIG
         assert not (tmp_path / "run" / "report.json").exists()

@@ -95,6 +95,50 @@ class TestRecall:
         assert vals == sorted(vals)
 
 
+    def test_recall_at_ns_is_recall_at_n_per_n(self):
+        rng = np.random.default_rng(4)
+        records = [make_record(rng, q, force_positive=(q % 2 == 0)) for q in range(60)]
+        ns = range(1, 12)
+        assert M.recall_at_ns(records, ns) == [M.recall_at_n(records, n) for n in ns]
+        with pytest.raises(ValueError):
+            M.recall_at_ns(records, [3, 0])
+        with pytest.raises(M.MetricError):
+            M.recall_at_ns([], [1])
+
+
+class TestScoreRecords:
+    def test_row_equals_the_separate_metrics(self):
+        rng = np.random.default_rng(5)
+        records = [make_record(rng, q, force_positive=(q % 3 != 0)) for q in range(50)]
+        row = M.score_records(records, "fog", 2, "none")
+        assert (row.auc, row.f1) == M.auc_f1(records)
+        assert (row.r1, row.r5, row.r20) == tuple(M.recall_at_n(records, n)
+                                                  for n in (1, 5, 20))
+
+    def test_each_record_judged_once(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        records = [make_record(rng, q, force_positive=True) for q in range(7)]
+        calls = []
+        judge = M.has_positive
+        monkeypatch.setattr(M, "has_positive",
+                            lambda rec, r: calls.append(rec.query_id) or judge(rec, r))
+        M.score_records(records, "snow", 1, "none")
+        assert calls == list(range(7))
+        calls.clear()
+        M.recall_at_ns(records, range(1, 21))
+        assert calls == list(range(7))
+
+    def test_errors_of_the_separate_metrics(self):
+        with pytest.raises(M.MetricError, match="empty"):
+            M.score_records([], "fog", 1, "none")
+        bare = M.RetrievalRecord(3, (), (0.0, 0.0), {0: (1.0, 0.0)})
+        with pytest.raises(M.MetricError, match="query 3 has no matches"):
+            M.score_records([bare], "fog", 1, "none")
+        far = M.RetrievalRecord(1, ((0, 0.1),), (0.0, 0.0), {0: (99.0, 0.0)})
+        with pytest.raises(M.MetricError, match="all-negative"):
+            M.score_records([far], "fog", 1, "none")
+
+
 class TestAucF1:
     def test_perfectly_separable(self):
         db = {0: (1.0, 0.0), 1: (99.0, 0.0)}

@@ -101,7 +101,7 @@ class TestBlocks:
         fw = rng.random((4, 6, 16))
         fc = np.broadcast_to(rng.random(16), (4, 6, 16)).copy()
         fuse.forward(fw, fc)
-        _, _, (p, vp), _, _, _ = fuse._cache
+        _, _, (p, vp), _, _ = fuse._attn_cache
         attn = p @ vp
         np.testing.assert_allclose(attn, np.broadcast_to(attn[0], attn.shape),
                                    atol=1e-12)
@@ -237,10 +237,23 @@ class TestForward:
         assert np.all(out.dist[out.mask] >= R.RESTORED_MASK_FLOOR)
         assert np.all(out.dist[~out.mask] == 0.0)
 
+    def test_inference_bit_equal_to_training_forward(self):
+        # inference drops its caches and reuses buffers, but every op keeps
+        # its arithmetic and order, so not one output bit moves
+        rng = np.random.default_rng(19)
+        net = R.ResLPRNet(R.NetConfig(seed=0))
+        w = net.outconv.w.value
+        w[...] = rng.normal(0.0, 0.05, w.shape)  # every block reaches the output
+        x = rng.random((32, 256, 2))
+        kept = net.forward_array(x, keep=True)
+        assert net.forward_array(x, keep=False).tobytes() == kept.tobytes()
+
     def test_inference_memory_bounded_at_default_projection(self):
-        # forward keeps no backward state; when every layer but the attention
-        # kept its cache, one 64x1920 restoration peaked at about 504 MB and
-        # still held 446 MB after it returned
+        # forward keeps no backward state and reuses its buffers; one 64x1920
+        # restoration peaks at about 87 MB. With every layer but the attention
+        # keeping its cache it peaked at about 504 MB and still held 446 MB
+        # after it returned, and with one-line GELU, norm and fuse
+        # expressions at about 155 MB
         rng = np.random.default_rng(19)
         net = R.ResLPRNet(R.NetConfig(seed=0))
         w = net.outconv.w.value
@@ -255,7 +268,7 @@ class TestForward:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 256 * 2**20, f"peak {peak / 2**20:.0f} MB"
+        assert peak <= 100 * 2**20, f"peak {peak / 2**20:.0f} MB"
         # the restored image itself is about 2 MB
         assert held <= 16 * 2**20, f"{held / 2**20:.0f} MB held after forward"
         assert out.dist.shape == shape

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,88 @@ class TestSoftmaxInPlace:
         np.testing.assert_array_equal(x, x0)
         np.testing.assert_array_equal(gy, gy0)
         np.testing.assert_array_equal(y, y0)
+
+
+def _bits_equal(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _pointwise_input(seed):
+    # normal draws at three scales plus signed zeros, tiny and saturating values
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(6, 10, 8)) * rng.choice([0.1, 1.0, 4.0], size=(6, 10, 8))
+    x.reshape(-1)[:6] = [0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0]
+    return x
+
+
+class TestBuffersReused:
+    """The in-place forwards do the arithmetic of their former one-line
+    expressions, kept here as the references, in the same order."""
+
+    @pytest.mark.parametrize("keep", [True, False])
+    def test_gelu_bit_equal_to_expression(self, keep):
+        x = _pointwise_input(30)
+        t_ref = np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x ** 3))
+        y_ref = 0.5 * x * (1.0 + t_ref)
+        y, cache = T.gelu(x, keep=keep)
+        assert _bits_equal(y, y_ref)
+        if keep:
+            assert cache[0] is x and _bits_equal(cache[1], t_ref)
+        else:
+            assert cache is None
+
+    @pytest.mark.parametrize("axes", [(-1,), (0, 1)])
+    def test_moment_norm_bit_equal_to_expression(self, axes):
+        rng = np.random.default_rng(31)
+        x = rng.normal(loc=3.0, scale=2.0, size=(6, 10, 8))
+        gain, bias = rng.normal(size=8), rng.normal(size=8)
+        mu = x.mean(axis=axes, keepdims=True)
+        var = ((x - mu) ** 2).mean(axis=axes, keepdims=True)
+        s_ref = np.sqrt(var + T.EPS_NORM)
+        xhat_ref = (x - mu) / s_ref
+        y, (xhat, s, _, _) = T.moment_norm(x, gain, bias, axes)
+        assert _bits_equal(y, xhat_ref * gain + bias)
+        assert _bits_equal(xhat, xhat_ref) and _bits_equal(s, s_ref)
+
+    @pytest.mark.parametrize("shape", [(6, 10, 8), (8,)])
+    def test_linear_bit_equal_to_expression(self, shape):
+        rng = np.random.default_rng(32)
+        x = rng.normal(size=shape)
+        w, b = rng.normal(size=(8, 5)), rng.normal(size=5)
+        y, _ = T.linear(x, w, b)
+        assert _bits_equal(y, x @ w + b)
+
+
+def _forward_calls(rng):
+    """(name, call, inputs) for every tensorops forward."""
+    x = rng.normal(size=(6, 8, 4))
+    w3, b4 = rng.normal(size=(3, 3, 2, 4)), rng.normal(size=4)
+    wt, bt = rng.normal(size=(2, 2, 4, 3)), rng.normal(size=3)
+    wl = rng.normal(size=(4, 5))
+    b5 = rng.normal(size=5)
+    g4 = rng.normal(size=4)
+    q, k, v = rng.normal(size=(7, 3)), rng.normal(size=(3, 5)), rng.normal(size=(5, 2))
+    return [
+        ("pad_reflect", lambda: T.pad_reflect(x, 1, 2), [x]),
+        ("conv2d", lambda: T.conv2d(x, w3, b4, groups=2), [x, w3, b4]),
+        ("conv_transpose2x2", lambda: T.conv_transpose2x2(x, wt, bt), [x, wt, bt]),
+        ("linear", lambda: T.linear(x, wl, b5), [x, wl, b5]),
+        ("softmax", lambda: T.softmax(x), [x]),
+        ("attention", lambda: T.attention(q, k, v, 1.5), [q, k, v]),
+        ("attention_no_keep", lambda: T.attention(q, k, v, 1.5, keep=False), [q, k, v]),
+        ("moment_norm_layer", lambda: T.moment_norm(x, g4, b4, (-1,)), [x, g4, b4]),
+        ("moment_norm_spatial", lambda: T.moment_norm(x, g4, b4, (0, 1)), [x, g4, b4]),
+        ("gap", lambda: T.gap(x), [x]),
+        ("gelu", lambda: T.gelu(x), [x]),
+        ("gelu_no_keep", lambda: T.gelu(x, keep=False), [x]),
+    ]
+
+
+def test_every_forward_leaves_its_inputs_unchanged():
+    for name, call, inputs in _forward_calls(np.random.default_rng(33)):
+        before = [a.tobytes() for a in inputs]
+        call()
+        assert [a.tobytes() for a in inputs] == before, name
 
 
 class TestAttention:
