@@ -249,11 +249,9 @@ class TestForward:
         assert net.forward_array(x, keep=False).tobytes() == kept.tobytes()
 
     def test_inference_memory_bounded_at_default_projection(self):
-        # forward keeps no backward state and reuses its buffers; one 64x1920
-        # restoration peaks at about 87 MB. With every layer but the attention
-        # keeping its cache it peaked at about 504 MB and still held 446 MB
-        # after it returned, and with one-line GELU, norm and fuse
-        # expressions at about 155 MB
+        # forward keeps no backward state and reuses its buffers: one 64x1920
+        # restoration peaks at about 87 MB (504 MB, holding 446 MB after it
+        # returned, when the layers kept their caches; 155 MB without reuse)
         rng = np.random.default_rng(19)
         net = R.ResLPRNet(R.NetConfig(seed=0))
         w = net.outconv.w.value
