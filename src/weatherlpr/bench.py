@@ -4,6 +4,7 @@ optional restoration preprocessing, retrieval, and report assembly.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, asdict
 
@@ -107,6 +108,18 @@ def write_pose_file(entries, path) -> None:
             fh.write(f"{e.scan_id} {e.pose[0]:.6f} {e.pose[1]:.6f}\n")
 
 
+# RunConfig's numeric fields: (name, accepted types, test, what the test asks)
+_NUMBER_FIELDS = (
+    ("top_n", int, lambda v: v >= 1, "an integer >= 1"),
+    ("rings", int, lambda v: v >= 1, "an integer >= 1"),
+    ("sectors", int, lambda v: v >= 1, "an integer >= 1"),
+    ("exclude_recent", int, lambda v: v >= 0, "an integer >= 0"),
+    ("seed", int, lambda v: True, "an integer"),
+    ("pos_radius", (int, float), lambda v: 0 < v < math.inf, "a finite number > 0"),
+    ("max_radius", (int, float), lambda v: 0 < v < math.inf, "a finite number > 0"),
+)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     kinds: tuple = weathersim.CORRUPTION_KINDS
@@ -142,8 +155,11 @@ class RunConfig:
                 raise ConfigError(f"unknown {name}: {bad}")
             if len(set(values)) != len(values):
                 raise ConfigError(f"repeated {name}: {list(values)}")
-        if not isinstance(self.top_n, int) or self.top_n < 1:
-            raise ConfigError(f"top_n must be an integer >= 1, got {self.top_n!r}")
+        for name, types, ok, rule in _NUMBER_FIELDS:
+            value = getattr(self, name)
+            # a bool is an int: True would run as 1
+            if isinstance(value, bool) or not isinstance(value, types) or not ok(value):
+                raise ConfigError(f"{name} must be {rule}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,8 @@ def cmd_project(args) -> int:
 
 
 def cmd_train(args) -> int:
+    opts = TrainOptions(lr=args.lr, epochs=args.epochs,
+                        patch=(args.patch_h, args.patch_w), seed=args.seed)
     manifest = bench.load_manifest(args.manifest)
     if not manifest.train_pairs:
         raise ConfigError("manifest has no train_pairs")
@@ -95,8 +97,6 @@ def cmd_train(args) -> int:
         pairs.append((project(read_scan(corrupt_path), spec),
                       project(read_scan(clean_path), spec)))
     net = ResLPRNet(NetConfig(base_channels=args.channels, seed=args.seed))
-    opts = TrainOptions(lr=args.lr, epochs=args.epochs,
-                        patch=(args.patch_h, args.patch_w), seed=args.seed)
     curve = train(net, pairs, opts)
     save_checkpoint(net, args.out)
     print(f"trained {len(curve)} steps; loss {curve[0]:.4f} -> {curve[-1]:.4f}; "
@@ -139,9 +139,9 @@ def cmd_evaluate(args) -> int:
     db = lpr.PlaceDatabase.load(args.db)
     poses = bench.read_pose_file(args.query_poses)
     config = RunConfig(rings=db.rings, sectors=db.sectors, top_n=args.top_n,
-                       exclude_recent=args.exclude_recent)
+                       exclude_recent=args.exclude_recent, pos_radius=args.pos_radius)
     records = bench.evaluate_queries(db, _entries(_scan_files(args.queries), poses), config)
-    row = metrics.score_records(records, "unknown", 0, "none", args.pos_radius)
+    row = metrics.score_records(records, "unknown", 0, "none", config.pos_radius)
     print(f"AUC={row.auc:.4f} F1={row.f1:.4f} "
           f"R@1={row.r1:.4f} R@5={row.r5:.4f} R@20={row.r20:.4f}")
     if args.out:

@@ -56,6 +56,8 @@ class ProjectionSpec:
     def __post_init__(self):
         if self.height < 1 or self.width < 1:
             raise ValueError("height and width must be >= 1")
+        if not all(map(math.isfinite, (self.fov_up, self.fov_down, self.max_range))):
+            raise ValueError("fov_up, fov_down and max_range must be finite")
         if self.fov_up <= self.fov_down:
             raise ValueError("fov_up must exceed fov_down")
         if self.max_range <= 0:

@@ -471,6 +471,12 @@ class TrainOptions:
     flips: bool = True
     seed: int = 0
 
+    def __post_init__(self):
+        if isinstance(self.epochs, bool) or not isinstance(self.epochs, int) or self.epochs < 1:
+            raise ValueError(f"epochs must be an integer >= 1, got {self.epochs!r}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
+
 
 def _crop_flip(rng, corrupt, clean, patch, flips):
     h, w, _ = corrupt.shape

@@ -2,6 +2,10 @@
 
 ``corrupt(cloud, kind, params)`` is the one entry point. ``_KINDS`` has one
 row per kind: its parameter class, the model that runs it and its presets.
+A model computes only the physics: given (cloud, params, rng) it returns,
+per input point, its new (x, y, z, i), whether it is kept, whether it is
+noise and its particle range (NaN for none). ``corrupt`` draws the scan's
+stream and builds the output cloud and its annotation from those.
 
 Fog: each return is split into a hard-target response i * exp(-2*alpha*R0)
 and a soft (backscatter) response i * R0^2 * beta * FOG_IT_MAX; whichever is
@@ -14,14 +18,15 @@ the precipitation rate), in which case the return intensity follows the
 focal-curve model and the coordinates are rescaled; a second draw models
 full occlusion (beam dropped).
 
-All corruption is deterministic given (params.seed, frame_id): the RNG
-stream is derived per scan, so scans can be processed in any order or in
-parallel without changing results.
+All corruption is deterministic given (params.seed, frame_id): ``corrupt``
+derives the RNG stream per scan, so scans can be processed in any order or
+in parallel without changing results.
 """
 from __future__ import annotations
 
+import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,8 +44,9 @@ class FogParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be non-negative")
+        # finite: a zero-range point's i_hard is i0 only while alpha * 0 is 0
+        if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
+            raise ValueError("alpha and beta must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -52,8 +58,8 @@ class ParticleParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rate < 0:
-            raise ValueError("rate must be non-negative")
+        if not 0 <= self.rate < math.inf:
+            raise ValueError("rate must be finite and non-negative")
 
 
 class SnowParams(ParticleParams):
@@ -95,12 +101,7 @@ class CorruptionAnnotation:
     noise_mask: np.ndarray        # (n_out,) bool
     source_index: np.ndarray      # (n_out,) int
     dropped: np.ndarray           # input indices lost to the weather
-    particle_range: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.particle_range is None:
-            object.__setattr__(self, "particle_range",
-                               np.full(len(self.noise_mask), np.nan))
+    particle_range: np.ndarray    # (n_out,) float, NaN where no particle
 
     @property
     def noise_count(self) -> int:
@@ -113,43 +114,31 @@ def scan_rng(seed: int, frame_id: str) -> np.random.Generator:
         np.random.SeedSequence([int(seed), zlib.crc32(frame_id.encode())]))
 
 
-def _fog_model(cloud: PointCloud, p: FogParams):
-    rng = scan_rng(p.seed, cloud.frame_id)
-    n = len(cloud)
+def _fog_model(cloud: PointCloud, p: FogParams, rng):
     r0 = cloud.ranges
     i0 = cloud.intensity
 
     i_hard = i0 * np.exp(-2.0 * p.alpha * r0)
     i_soft = i0 * r0 ** 2 * p.beta * FOG_IT_MAX
     soft = i_soft > i_hard
-    soft &= r0 > 0  # zero-range points pass through unchanged
+    soft &= r0 > 0  # zero-range points pass through: their i_hard is i0
 
     # scatter ranges are drawn for every point so branch membership never
     # perturbs the stream; only soft winners consume theirs
     low = np.minimum(SCATTER_MIN, 0.5 * r0)
-    r_scatter = low + rng.random(n) * np.maximum(r0 - low, 0.0)
+    r_scatter = low + rng.random(len(cloud)) * np.maximum(r0 - low, 0.0)
 
     pts = cloud.points.copy()
-    scale = np.where(soft & (r0 > 0), r_scatter / np.maximum(r0, 1e-12), 1.0)
-    pts[:, :3] *= scale[:, None]
-    new_i = np.where(soft, np.clip(i_soft, 0.0, 1.0), i_hard)
-    nonzero = r0 > 0
-    pts[:, 3] = np.where(nonzero, new_i, i0)
+    pts[:, :3] *= np.where(soft, r_scatter / np.maximum(r0, 1e-12), 1.0)[:, None]
+    pts[:, 3] = np.where(soft, np.clip(i_soft, 0.0, 1.0), i_hard)
 
     # detectability floor: only genuinely attenuated returns can be lost
-    lost = nonzero & (pts[:, 3] < DETECT_FLOOR) & (pts[:, 3] < i0)
-    keep = ~lost
-    ann = CorruptionAnnotation(
-        noise_mask=(soft & keep)[keep],
-        source_index=np.flatnonzero(keep),
-        dropped=np.flatnonzero(lost),
-    )
-    return PointCloud(pts[keep], frame_id=cloud.frame_id), ann
+    lost = (pts[:, 3] < DETECT_FLOOR) & (pts[:, 3] < i0)
+    return pts, ~lost, soft, np.full(len(cloud), np.nan)
 
 
-def _particle_model(cloud: PointCloud, p: ParticleParams):
+def _particle_model(cloud: PointCloud, p: ParticleParams, rng):
     """Snow and rain; see module docstring."""
-    rng = scan_rng(p.seed, cloud.frame_id)
     n = len(cloud)
     r0 = cloud.ranges
 
@@ -165,23 +154,11 @@ def _particle_model(cloud: PointCloud, p: ParticleParams):
     occluded = (~hit) & (u_occ < p_occ) & eligible
 
     r_star = SCATTER_MIN + u_range * (np.minimum(r0, p.r_max) - SCATTER_MIN)
-    i_snow = snow_intensity(r_star, p)
 
     pts = cloud.points.copy()
-    scale = np.where(hit, p.rate / p.gamma, 1.0)
-    pts[:, :3] *= scale[:, None]
-    pts[:, 3] = np.where(hit, i_snow, pts[:, 3])
-
-    keep = ~occluded
-    particle = np.full(n, np.nan)
-    particle[hit] = r_star[hit]
-    ann = CorruptionAnnotation(
-        noise_mask=hit[keep],
-        source_index=np.flatnonzero(keep),
-        dropped=np.flatnonzero(occluded),
-        particle_range=particle[keep],
-    )
-    return PointCloud(pts[keep], frame_id=cloud.frame_id), ann
+    pts[:, :3] *= np.where(hit, p.rate / p.gamma, 1.0)[:, None]
+    pts[:, 3] = np.where(hit, snow_intensity(r_star, p), pts[:, 3])
+    return pts, ~occluded, hit, np.where(hit, r_star, np.nan)
 
 
 def snow_intensity(r_star, p: ParticleParams):
@@ -221,7 +198,10 @@ def corrupt(cloud: PointCloud, kind: str, params):
     cls, model, _ = _kind(kind)
     if not isinstance(params, cls):
         raise ValueError(f"{kind} takes {cls.__name__}, not {type(params).__name__}")
-    return model(cloud, params)
+    pts, keep, noise, particle = model(cloud, params, scan_rng(params.seed, cloud.frame_id))
+    ann = CorruptionAnnotation(noise_mask=noise[keep], source_index=np.flatnonzero(keep),
+                               dropped=np.flatnonzero(~keep), particle_range=particle[keep])
+    return PointCloud(pts[keep], frame_id=cloud.frame_id), ann
 
 
 def write_annotations(records, path) -> None:

@@ -168,6 +168,24 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=f"^{field} must be a list"):
             RunConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("top_n", True), ("top_n", 2.0), ("rings", 0), ("rings", True), ("sectors", 0),
+        ("sectors", "60"), ("exclude_recent", -1), ("exclude_recent", "a"),
+        ("exclude_recent", False), ("seed", 1.5), ("seed", True), ("seed", None),
+        ("pos_radius", "5"), ("pos_radius", -1.0), ("pos_radius", 0), ("pos_radius", True),
+        ("pos_radius", math.nan), ("max_radius", math.inf), ("max_radius", 0.0),
+        ("max_radius", [80.0]),
+    ])
+    def test_numbers_must_be_in_range_and_of_their_type(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be "):
+            RunConfig(**{field: value})
+
+    def test_numbers_at_their_bounds_accepted(self):
+        # a JSON integer is a radius too
+        cfg = RunConfig(top_n=1, rings=1, sectors=1, exclude_recent=0,
+                        pos_radius=5, max_radius=0.5)
+        assert (cfg.pos_radius, cfg.max_radius) == (5, 0.5)
+
 
 def fixed_preset(monkeypatch, params):
     """Every (kind, level) of the run corrupts with ``params``."""

@@ -56,6 +56,15 @@ class TestProject:
         assert data["dist"].shape == (32, 128)
         assert data["mask"].dtype == bool
 
+    @pytest.mark.parametrize("option", ["--max-range", "--fov-up-deg", "--fov-down-deg"])
+    def test_nan_geometry_exits_2(self, world_dir, tmp_path, option):
+        scan = sorted((world_dir / "database").glob("*.bin"))[0]
+        out = tmp_path / "img.npz"
+        rc = cli.main(["project", "--in", str(scan), "--out", str(out), *PROJ_ARGS,
+                       option, "nan"])
+        assert rc == cli.EXIT_CONFIG
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def db_path(world_dir, tmp_path_factory):
@@ -102,6 +111,14 @@ class TestIndexRetrieveEvaluate:
         assert rc == 0
         assert "R@1=1.0000" in capsys.readouterr().out
         assert out.exists()
+
+    @pytest.mark.parametrize("option, value", [
+        ("--pos-radius", "-1"), ("--pos-radius", "nan"), ("--exclude-recent", "-1")])
+    def test_evaluate_setting_out_of_range_exits_2(self, world_dir, db_path, option, value):
+        rc = cli.main(["evaluate", "--db", str(db_path),
+                       "--queries", str(world_dir / "queries"),
+                       "--query-poses", str(world_dir / "query_poses.txt"), option, value])
+        assert rc == cli.EXIT_CONFIG
 
     def test_evaluate_matches_library_pipeline(self, world_dir, db_path, capsys):
         # the CLI stages compose to the same numbers as the library call
@@ -258,11 +275,41 @@ class TestInputErrors:
         {"synthetic": {"n_places": 40}, "kinds": "fog"},
         {"synthetic": {"n_places": 40}, "kinds": ["fog"], "levels": [1.0, 2, 3]},
         {"synthetic": {"n_places": 40}, "kinds": ["fog"], "levels": [True, 2, 3]},
+        {"synthetic": {"n_places": 4}, "rings": 0},
+        {"synthetic": {"n_places": 4}, "sectors": 0},
+        {"synthetic": {"n_places": 4}, "pos_radius": "5"},
+        {"synthetic": {"n_places": 4}, "exclude_recent": "a"},
+        {"synthetic": {"n_places": 4}, "pos_radius": -1.0},
+        {"synthetic": {"n_places": 4}, "top_n": True},
+        {"synthetic": {"n_places": 4}, "projection": {"max_range": math.nan}},
     ], ids=["both_sources", "sleet", "repeated_level", "scalar_kinds", "scalar_levels",
-            "string_kinds", "float_level", "bool_level"])
+            "string_kinds", "float_level", "bool_level", "zero_rings", "zero_sectors",
+            "string_pos_radius", "string_exclude_recent", "negative_pos_radius",
+            "bool_top_n", "nan_max_range"])
     def test_rejected_before_any_stage_runs(self, tmp_path, cfg):
         assert self.bench(cfg, tmp_path) == cli.EXIT_CONFIG
         assert not (tmp_path / "run" / "report.json").exists()
+
+    def test_index_with_zero_rings_exits_2(self, world_dir, tmp_path):
+        rc = cli.main(["index", "--in", str(world_dir / "database"),
+                       "--poses", str(world_dir / "database_poses.txt"),
+                       "--out", str(tmp_path / "p.db"), "--rings", "0"])
+        assert rc == cli.EXIT_CONFIG
+        assert not (tmp_path / "p.db").exists()
+
+    @pytest.mark.parametrize("option, value", [("--epochs", "0"), ("--lr", "nan")])
+    def test_train_setting_it_cannot_use_exits_2(self, world_dir, tmp_path, option, value):
+        # a usable manifest, so only the setting can stop the run
+        scans = sorted((world_dir / "database").glob("*.bin"))
+        path = self.manifest(world_dir, tmp_path)
+        raw = json.loads(path.read_text())
+        raw["train_pairs"] = [[str(scans[0]), str(scans[1])]]
+        path.write_text(json.dumps(raw))
+        rc = cli.main(["train", "--manifest", str(path), "--out", str(tmp_path / "c"),
+                       "--channels", "2", "--patch-h", "16", "--patch-w", "32",
+                       "--epochs", "1", *PROJ_ARGS, option, value])
+        assert rc == cli.EXIT_CONFIG
+        assert not (tmp_path / "c").exists()
 
     def test_config_not_an_object_exits_2(self, tmp_path):
         assert self.bench(["synthetic"], tmp_path) == cli.EXIT_CONFIG

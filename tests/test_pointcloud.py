@@ -54,6 +54,12 @@ class TestReadScan:
 
 
 class TestProject:
+    @pytest.mark.parametrize("field", ["fov_up", "fov_down", "max_range"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_spec_geometry_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            ProjectionSpec(**{field: value})
+
     def test_axis_aligned_point(self):
         spec = sym_spec()
         cloud = PointCloud(np.array([[spec.max_range, 0.0, 0.0, 1.0]]))

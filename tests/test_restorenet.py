@@ -385,6 +385,15 @@ class TestTraining:
         with pytest.raises(RuntimeError, match="step 0"):
             R.train(net, pairs, R.TrainOptions(epochs=1, patch=(16, 32)))
 
+    @pytest.mark.parametrize("settings", [
+        dict(epochs=0), dict(epochs=-1), dict(epochs=2.0), dict(epochs=True),
+        dict(lr=math.nan), dict(lr=math.inf), dict(lr=0.0), dict(lr=-1e-3),
+    ], ids=["epochs-0", "epochs-negative", "epochs-float", "epochs-bool",
+            "lr-nan", "lr-inf", "lr-0", "lr-negative"])
+    def test_unusable_settings_rejected(self, settings):
+        with pytest.raises(ValueError, match=f"^{next(iter(settings))} must be"):
+            R.TrainOptions(**settings)
+
 
 class TestCheckpoint:
     def test_roundtrip_preserves_outputs(self, tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -112,12 +114,26 @@ class TestParticleModels:
             fracs.append(ann.noise_count / len(cloud))
         assert fracs[0] < fracs[1] < fracs[2]
 
-    def test_clean_points_unchanged(self):
-        cloud = random_cloud(10)
-        out, ann = W.corrupt(cloud, "snow", W.SnowParams(rate=1.5))
-        clean = ~ann.noise_mask
-        np.testing.assert_array_equal(out.points[clean],
-                                      cloud.points[ann.source_index[clean]])
+    @pytest.mark.parametrize("level", W.SEVERITY_LEVELS)
+    @pytest.mark.parametrize("kind", W.CORRUPTION_KINDS)
+    def test_output_agrees_with_annotation(self, kind, level):
+        # point 0 sits at the sensor: every kind passes it through unchanged
+        cloud = PointCloud(np.vstack([[0.0, 0.0, 0.0, 0.6], random_cloud(10).points]))
+        out, ann = W.corrupt(cloud, kind, W.severity_preset(kind, level, seed=level))
+        src, clean = ann.source_index, ~ann.noise_mask
+        assert ann.noise_count > 0
+        # source_index and dropped are sorted and split the input between them
+        assert np.all(np.diff(src) > 0) and np.all(np.diff(ann.dropped) > 0)
+        np.testing.assert_array_equal(np.sort(np.concatenate([src, ann.dropped])),
+                                      np.arange(len(cloud)))
+        # a clean point keeps its xyz; fog attenuates its intensity
+        kept = 3 if kind == "fog" else 4
+        np.testing.assert_array_equal(out.points[clean, :kept],
+                                      cloud.points[src[clean], :kept])
+        np.testing.assert_array_equal(np.isnan(ann.particle_range),
+                                      np.ones_like(clean) if kind == "fog" else clean)
+        assert src[0] == 0 and clean[0]
+        np.testing.assert_array_equal(out.points[0], cloud.points[0])
 
     @pytest.mark.parametrize("kind, params, message", [
         ("rain", W.SnowParams(2.5, seed=1), "rain takes RainParams, not SnowParams"),
@@ -167,6 +183,15 @@ class TestPresets:
         assert p == W.SnowParams(1.5, seed=4)
         assert W.severity_preset("rain", 1) == W.RainParams(10.0)
         assert W.SnowParams(1.5) != W.RainParams(1.5)
+
+    @pytest.mark.parametrize("make", [
+        lambda v: W.FogParams(v, 0.01), lambda v: W.FogParams(0.01, v),
+        W.SnowParams, W.RainParams,
+    ], ids=["fog-alpha", "fog-beta", "snow-rate", "rain-rate"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_parameters_finite_and_non_negative(self, make, value):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            make(value)
 
     def test_particle_constants_not_settable(self):
         with pytest.raises(TypeError):
