@@ -12,7 +12,7 @@ import numpy as np
 
 from . import lpr, metrics, weathersim
 from .pointcloud import (PointCloud, ProjectionSpec, ScanParseError, back_project,
-                         project, read_text_lines, write_scan)
+                         project, read_text_lines)
 from .restorenet import ResLPRNet, load_checkpoint
 
 QUERY_ID_BASE = 100000
@@ -140,6 +140,11 @@ class RunConfig:
     def __post_init__(self):
         if self.preprocessing not in ("none", "restorenet"):
             raise ConfigError(f"unknown preprocessing: {self.preprocessing}")
+        if self.checkpoint is not None and not (
+                isinstance(self.checkpoint, str) and self.preprocessing == "restorenet"):
+            raise ConfigError(f"checkpoint must be a path used with preprocessing "
+                              f"'restorenet', got {self.checkpoint!r} with "
+                              f"{self.preprocessing!r}")
         if self.protocol not in ("kitti", "nclt"):
             raise ConfigError(f"unknown protocol: {self.protocol}")
         for field_name, name, values, known, element in (
@@ -287,20 +292,6 @@ def make_synthetic_world(seed: int, n_places: int, revisit_fraction: float = 1.0
     return SyntheticWorld(database=tuple(database), queries=tuple(queries))
 
 
-def write_world(world: SyntheticWorld, out_dir) -> None:
-    """Emit scans in the standard binary layout plus pose files."""
-    db_dir = os.path.join(out_dir, "database")
-    q_dir = os.path.join(out_dir, "queries")
-    os.makedirs(db_dir, exist_ok=True)
-    os.makedirs(q_dir, exist_ok=True)
-    for e in world.database:
-        write_scan(e.cloud, os.path.join(db_dir, f"{e.scan_id:06d}.bin"))
-    for e in world.queries:
-        write_scan(e.cloud, os.path.join(q_dir, f"{e.scan_id:06d}.bin"))
-    write_pose_file(world.database, os.path.join(out_dir, "database_poses.txt"))
-    write_pose_file(world.queries, os.path.join(out_dir, "query_poses.txt"))
-
-
 # ---------------------------------------------------------------------------
 # pipeline stages
 
@@ -347,14 +338,17 @@ def evaluate_queries(db: lpr.PlaceDatabase, query_entries, config: RunConfig,
 
 def run_benchmark(database_entries, query_entries, config: RunConfig,
                   net: ResLPRNet | None = None) -> dict:
-    """Full benchmark: clean baseline, then every (kind, level) with optional
-    restoration; aggregates SR per kind and mSR when all levels are present.
+    """Full benchmark: clean baseline, then every (kind, level), restored by
+    ``net`` (or ``config.checkpoint``) when ``config.preprocessing`` is
+    restorenet. SR for each kind run at all three levels, and mSR when all
+    three kinds have an SR; otherwise ``"msr"`` is None.
     """
+    if config.preprocessing == "none" and net is not None:
+        raise ConfigError("a net was given but preprocessing is 'none'")
     if config.preprocessing == "restorenet" and net is None:
         if not config.checkpoint:
             raise ConfigError("restorenet preprocessing needs a checkpoint or net")
         net = load_checkpoint(config.checkpoint)
-    use_net = net if config.preprocessing == "restorenet" else None
 
     db = build_database(database_entries, config)
 
@@ -365,7 +359,7 @@ def run_benchmark(database_entries, query_entries, config: RunConfig,
         corrupt_with = None if clean else (
             kind, weathersim.severity_preset(kind, level, seed=config.seed))
         try:
-            records = evaluate_queries(db, query_entries, config, net=use_net,
+            records = evaluate_queries(db, query_entries, config, net=net,
                                        corrupt_with=corrupt_with)
         except ValueError:
             raise  # ConfigError, ScanParseError, MetricError keep their exit code
@@ -383,7 +377,6 @@ def run_benchmark(database_entries, query_entries, config: RunConfig,
         alps = [row.alp(config.protocol) for row in rows if row.kind == kind]
         if len(alps) == 3:
             sr[kind] = metrics.stability_rate(alps, alp_clean)
-    msr_value = float(sum(sr.values())) / len(sr) if sr else None
 
     report = {
         # the report must not depend on where it is written
@@ -392,7 +385,7 @@ def run_benchmark(database_entries, query_entries, config: RunConfig,
         "alp_clean": alp_clean,
         "rows": [asdict(r) for r in rows],
         "sr": sr,
-        "msr": msr_value,
+        "msr": metrics.msr(sr.values()) if len(sr) == 3 else None,
     }
     if config.out_dir:
         os.makedirs(config.out_dir, exist_ok=True)

@@ -26,24 +26,30 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _projection(height=64, width=1920, fov_up_deg=3.0, fov_down_deg=-25.0,
-                max_range=80.0) -> ProjectionSpec:
-    """ProjectionSpec from a field of view given in degrees."""
-    return ProjectionSpec(height=height, width=width, fov_up=math.radians(fov_up_deg),
-                          fov_down=math.radians(fov_down_deg), max_range=max_range)
+# ProjectionSpec's fields, with the field of view in degrees
+_PROJECTION_KEYS = {"height": int, "width": int, "fov_up_deg": float,
+                    "fov_down_deg": float, "max_range": float}
+
+
+def _projection(**given) -> ProjectionSpec:
+    """ProjectionSpec from the fields given, with the field of view in
+    degrees; an omitted field keeps ProjectionSpec's default."""
+    unknown = given.keys() - _PROJECTION_KEYS
+    if unknown:
+        raise ConfigError(f"unknown projection fields: {sorted(unknown)}")
+    return ProjectionSpec(**{key.removesuffix("_deg"): math.radians(value)
+                             if key.endswith("_deg") else value
+                             for key, value in given.items()})
 
 
 def _projection_from_args(args) -> ProjectionSpec:
-    return _projection(args.height, args.width, args.fov_up_deg, args.fov_down_deg,
-                       args.max_range)
+    return _projection(**{k: v for k, v in vars(args).items() if k in _PROJECTION_KEYS})
 
 
 def _add_projection_args(p):
-    p.add_argument("--height", type=int, default=64)
-    p.add_argument("--width", type=int, default=1920)
-    p.add_argument("--fov-up-deg", type=float, default=3.0)
-    p.add_argument("--fov-down-deg", type=float, default=-25.0)
-    p.add_argument("--max-range", type=float, default=80.0)
+    # an option not given is absent from args, so its field keeps its default
+    for key, kind in _PROJECTION_KEYS.items():
+        p.add_argument("--" + key.replace("_", "-"), type=kind, default=argparse.SUPPRESS)
 
 
 def _scan_files(directory):
@@ -88,15 +94,16 @@ def cmd_project(args) -> int:
 def cmd_train(args) -> int:
     opts = TrainOptions(lr=args.lr, epochs=args.epochs,
                         patch=(args.patch_h, args.patch_w), seed=args.seed)
+    net_config = NetConfig(base_channels=args.channels, seed=args.seed)
+    spec = _projection_from_args(args)
     manifest = bench.load_manifest(args.manifest)
     if not manifest.train_pairs:
         raise ConfigError("manifest has no train_pairs")
-    spec = _projection_from_args(args)
     pairs = []
     for corrupt_path, clean_path in manifest.train_pairs:
         pairs.append((project(read_scan(corrupt_path), spec),
                       project(read_scan(clean_path), spec)))
-    net = ResLPRNet(NetConfig(base_channels=args.channels, seed=args.seed))
+    net = ResLPRNet(net_config)
     curve = train(net, pairs, opts)
     save_checkpoint(net, args.out)
     print(f"trained {len(curve)} steps; loss {curve[0]:.4f} -> {curve[-1]:.4f}; "
@@ -227,12 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the restoration network")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--channels", type=int, default=8)
-    p.add_argument("--patch-h", type=int, default=32)
-    p.add_argument("--patch-w", type=int, default=480)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--lr", type=float, default=TrainOptions.lr)
+    p.add_argument("--epochs", type=int, default=TrainOptions.epochs)
+    p.add_argument("--channels", type=int, default=NetConfig.base_channels)
+    p.add_argument("--patch-h", type=int, default=TrainOptions.patch[0])
+    p.add_argument("--patch-w", type=int, default=TrainOptions.patch[1])
+    p.add_argument("--seed", type=int, default=TrainOptions.seed)
     _add_projection_args(p)
     p.set_defaults(func=cmd_train)
 
@@ -262,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", required=True)
     p.add_argument("--query-poses", required=True)
     p.add_argument("--out")
-    p.add_argument("--top-n", type=int, default=20)
+    p.add_argument("--top-n", type=int, default=RunConfig.top_n)
     p.add_argument("--pos-radius", type=float, default=metrics.DEFAULT_POS_RADIUS)
     p.add_argument("--exclude-recent", type=int, default=50)
     p.set_defaults(func=cmd_evaluate)

@@ -33,8 +33,9 @@ class NetConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.base_channels < 2:
-            raise ValueError("base_channels must be >= 2")
+        # the decoder's input, 2 * base_channels, must divide by 4
+        if self.base_channels < 2 or self.base_channels % 2:
+            raise ValueError(f"base_channels must be even and >= 2, got {self.base_channels!r}")
         if self.n_contexts < 1:
             raise ValueError("n_contexts must be >= 1")
         if self.attn_token_cap < 1:
@@ -476,6 +477,10 @@ class TrainOptions:
             raise ValueError(f"epochs must be an integer >= 1, got {self.epochs!r}")
         if not 0 < self.lr < math.inf:
             raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
+        # forward_array takes sides of at least 16
+        if not isinstance(self.patch, (tuple, list)) or len(self.patch) != 2 or any(
+                isinstance(v, bool) or not isinstance(v, int) or v < 16 for v in self.patch):
+            raise ValueError(f"patch must be two integers >= 16, got {self.patch!r}")
 
 
 def _crop_flip(rng, corrupt, clean, patch, flips):

@@ -254,29 +254,3 @@ def gelu_backward(cache, gy: np.ndarray):
     dinner = _GELU_K * (1.0 + 3 * 0.044715 * x ** 2)
     dy = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * dinner
     return gy * dy
-
-
-def numeric_gradient(f, x: np.ndarray, step: float = 1e-3) -> np.ndarray:
-    """Central-difference gradient of scalar f at x, elementwise."""
-    g = np.zeros_like(x, dtype=float)
-    it = np.nditer(x, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
-        orig = x[idx]
-        x[idx] = orig + step
-        fp = f(x)
-        x[idx] = orig - step
-        fm = f(x)
-        x[idx] = orig
-        g[idx] = (fp - fm) / (2 * step)
-        it.iternext()
-    return g
-
-
-def relative_error(a: np.ndarray, b: np.ndarray) -> float:
-    na = np.linalg.norm(np.asarray(a).ravel())
-    nb = np.linalg.norm(np.asarray(b).ravel())
-    denom = max(na, nb)
-    if denom == 0.0:
-        return 0.0
-    return float(np.linalg.norm((np.asarray(a) - np.asarray(b)).ravel()) / denom)

@@ -17,6 +17,8 @@ from weatherlpr import bench, lpr, metrics as M, restorenet as R
 from weatherlpr import tensorops as T, wavelet as W, weathersim as S
 from weatherlpr.pointcloud import PointCloud, ProjectionSpec, project
 
+from helpers import numeric_gradient, relative_error
+
 
 def report(name, ok, detail=""):
     print(f"[{'PASS' if ok else 'FAIL'}] {name}" + (f" — {detail}" if detail else ""))
@@ -64,8 +66,8 @@ class TestCriterion2Gradients:
     STEP = 1e-3
 
     def check(self, f, x, analytic):
-        num = T.numeric_gradient(f, x, step=self.STEP)
-        return T.relative_error(analytic, num) < self.TOL
+        num = numeric_gradient(f, x, step=self.STEP)
+        return relative_error(analytic, num) < self.TOL
 
     def run_op(self, name, trial):
         rng = np.random.default_rng(zlib.crc32(name.encode()))

@@ -11,6 +11,9 @@ from weatherlpr import bench, lpr, metrics, weathersim
 from weatherlpr.bench import (ConfigError, Manifest, RunConfig,
                               make_synthetic_world, run_benchmark)
 from weatherlpr.pointcloud import ProjectionSpec, ScanParseError
+from weatherlpr.restorenet import NetConfig, ResLPRNet
+
+from helpers import write_world
 
 
 def small_projection():
@@ -77,7 +80,7 @@ class TestSyntheticWorld:
 
     def test_write_world_layout(self, tmp_path):
         world = make_synthetic_world(seed=1, n_places=3, revisit_fraction=1.0)
-        bench.write_world(world, tmp_path)
+        write_world(world, tmp_path)
         assert len(list((tmp_path / "database").glob("*.bin"))) == 3
         assert len(list((tmp_path / "queries").glob("*.bin"))) == 3
         poses = bench.read_pose_file(tmp_path / "database_poses.txt")
@@ -180,6 +183,17 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=f"^{field} must be "):
             RunConfig(**{field: value})
 
+    @pytest.mark.parametrize("kw", [
+        {"checkpoint": "net.ckpt"}, {"checkpoint": 5},
+        {"checkpoint": 5, "preprocessing": "restorenet"},
+        {"checkpoint": True, "preprocessing": "restorenet"},
+    ], ids=["path_without_restorenet", "int", "int_with_restorenet", "bool_with_restorenet"])
+    def test_checkpoint_must_be_a_path_for_restorenet(self, kw):
+        # an int would open as a file descriptor, and True as stdout
+        with pytest.raises(ConfigError, match="^checkpoint must be a path"):
+            RunConfig(**kw)
+        assert RunConfig(checkpoint="net.ckpt", preprocessing="restorenet").checkpoint
+
     def test_numbers_at_their_bounds_accepted(self):
         # a JSON integer is a radius too
         cfg = RunConfig(top_n=1, rings=1, sectors=1, exclude_recent=0,
@@ -205,10 +219,24 @@ class TestBenchmark:
 
     def test_zero_severity_sr_is_one(self, monkeypatch):
         world = make_synthetic_world(seed=6, n_places=8, revisit_fraction=1.0)
-        fixed_preset(monkeypatch, weathersim.FogParams(alpha=0.0, beta=0.0))
-        report = run_benchmark(world.database, world.queries, small_config())
-        assert report["sr"]["fog"] == pytest.approx(1.0)
-        assert report["msr"] == pytest.approx(1.0)
+        zero = {"snow": weathersim.SnowParams(rate=0.0),
+                "fog": weathersim.FogParams(alpha=0.0, beta=0.0),
+                "rain": weathersim.RainParams(rate=0.0)}
+        monkeypatch.setattr(weathersim, "severity_preset",
+                            lambda kind, level, seed=0: zero[kind])
+        report = run_benchmark(world.database, world.queries,
+                               small_config(kinds=weathersim.CORRUPTION_KINDS))
+        assert report["sr"] == {"snow": 1.0, "fog": 1.0, "rain": 1.0}
+        assert report["msr"] == 1.0
+        # mSR is the mean over all three kinds: a partial grid has none
+        fog_only = run_benchmark(world.database, world.queries, small_config())
+        assert fog_only["sr"] == {"fog": 1.0} and fog_only["msr"] is None
+
+    def test_net_without_restoration_rejected(self):
+        world = make_synthetic_world(seed=6, n_places=3, revisit_fraction=1.0)
+        net = ResLPRNet(NetConfig(base_channels=2))
+        with pytest.raises(ConfigError, match="preprocessing is 'none'"):
+            run_benchmark(world.database, world.queries, small_config(), net=net)
 
     def test_corruption_degrades_monotonically_on_average(self):
         world = make_synthetic_world(seed=7, n_places=12, revisit_fraction=0.8)

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from weatherlpr import bench, cli, restorenet
-from weatherlpr.pointcloud import ProjectionSpec, ScanParseError, read_scan
-from weatherlpr.bench import make_synthetic_world, write_world
+from weatherlpr.pointcloud import ProjectionSpec, ScanParseError, project, read_scan
+from weatherlpr.bench import make_synthetic_world
+
+from helpers import write_world
 
 PROJ_ARGS = ["--height", "32", "--width", "128"]
 
@@ -282,10 +284,17 @@ class TestInputErrors:
         {"synthetic": {"n_places": 4}, "pos_radius": -1.0},
         {"synthetic": {"n_places": 4}, "top_n": True},
         {"synthetic": {"n_places": 4}, "projection": {"max_range": math.nan}},
+        {"synthetic": {"n_places": 4}, "projection": {"height": None}},
+        {"synthetic": {"n_places": 4}, "projection": [32, 128]},
+        {"synthetic": {"n_places": 4}, "checkpoint": 5},
+        {"synthetic": {"n_places": 4}, "checkpoint": "net.ckpt"},
+        {"synthetic": {"n_places": 4}, "preprocessing": "restorenet", "checkpoint": 5},
     ], ids=["both_sources", "sleet", "repeated_level", "scalar_kinds", "scalar_levels",
             "string_kinds", "float_level", "bool_level", "zero_rings", "zero_sectors",
             "string_pos_radius", "string_exclude_recent", "negative_pos_radius",
-            "bool_top_n", "nan_max_range"])
+            "bool_top_n", "nan_max_range", "null_height", "list_projection",
+            "checkpoint_without_restorenet", "path_without_restorenet",
+            "int_checkpoint"])
     def test_rejected_before_any_stage_runs(self, tmp_path, cfg):
         assert self.bench(cfg, tmp_path) == cli.EXIT_CONFIG
         assert not (tmp_path / "run" / "report.json").exists()
@@ -310,6 +319,19 @@ class TestInputErrors:
                        "--epochs", "1", *PROJ_ARGS, option, value])
         assert rc == cli.EXIT_CONFIG
         assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("option, value", [
+        ("--channels", "3"), ("--patch-h", "8"), ("--patch-w", "0")])
+    def test_train_rejects_settings_before_reading_a_scan(self, world_dir, tmp_path,
+                                                          option, value):
+        # the train pairs do not exist: reading one would exit 3
+        path = self.manifest(world_dir, tmp_path)
+        raw = json.loads(path.read_text())
+        raw["train_pairs"] = [[str(tmp_path / "none1.bin"), str(tmp_path / "none2.bin")]]
+        path.write_text(json.dumps(raw))
+        rc = cli.main(["train", "--manifest", str(path), "--out", str(tmp_path / "c"),
+                       option, value])
+        assert rc == cli.EXIT_CONFIG
 
     def test_config_not_an_object_exits_2(self, tmp_path):
         assert self.bench(["synthetic"], tmp_path) == cli.EXIT_CONFIG
@@ -460,6 +482,27 @@ class TestParser:
         # the database does not record the radius, so every command uses
         # lpr.DEFAULT_MAX_RADIUS and none can disagree with another
         assert cli.main(argv + ["--max-radius", "20"]) == cli.EXIT_CONFIG
+
+    def test_defaults_are_the_dataclass_fields(self):
+        parse = cli.build_parser().parse_args
+        args = parse(["train", "--manifest", "m.json", "--out", "c"])
+        opts = restorenet.TrainOptions()
+        assert (args.lr, args.epochs, (args.patch_h, args.patch_w), args.seed) == (
+            opts.lr, opts.epochs, opts.patch, opts.seed)
+        assert args.channels == restorenet.NetConfig().base_channels
+        # the field of view is not round-tripped through degrees
+        assert cli._projection_from_args(args) == ProjectionSpec()
+        args = parse(["evaluate", "--db", "p.db", "--queries", "q", "--query-poses", "p.txt"])
+        assert args.top_n == bench.RunConfig().top_n
+
+    def test_project_without_options_uses_projection_spec(self, world_dir, tmp_path):
+        scan = sorted((world_dir / "database").glob("*.bin"))[0]
+        out = tmp_path / "img.npz"
+        assert cli.main(["project", "--in", str(scan), "--out", str(out)]) == 0
+        img = project(read_scan(scan), ProjectionSpec())
+        with np.load(out) as data:
+            for name in ("dist", "inten", "mask"):
+                assert data[name].tobytes() == getattr(img, name).tobytes(), name
 
     def test_entry_point_help(self, capsys):
         with pytest.raises(SystemExit):

@@ -388,11 +388,20 @@ class TestTraining:
     @pytest.mark.parametrize("settings", [
         dict(epochs=0), dict(epochs=-1), dict(epochs=2.0), dict(epochs=True),
         dict(lr=math.nan), dict(lr=math.inf), dict(lr=0.0), dict(lr=-1e-3),
+        dict(patch=(8, 64)), dict(patch=(12, 0)), dict(patch=(-5, 32)), dict(patch=(16,)),
+        dict(patch=(16.0, 32)), dict(patch=16),
     ], ids=["epochs-0", "epochs-negative", "epochs-float", "epochs-bool",
-            "lr-nan", "lr-inf", "lr-0", "lr-negative"])
+            "lr-nan", "lr-inf", "lr-0", "lr-negative", "patch-8", "patch-12-0",
+            "patch-negative", "patch-one-side", "patch-float", "patch-scalar"])
     def test_unusable_settings_rejected(self, settings):
         with pytest.raises(ValueError, match=f"^{next(iter(settings))} must be"):
             R.TrainOptions(**settings)
+
+    @pytest.mark.parametrize("channels", [0, 1, 3, 7])
+    def test_odd_or_tiny_base_channels_rejected(self, channels):
+        # the decoder splits 2 * base_channels into four sub-bands
+        with pytest.raises(ValueError, match="^base_channels must be even"):
+            R.NetConfig(base_channels=channels)
 
 
 class TestCheckpoint:

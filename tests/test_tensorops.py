@@ -5,10 +5,12 @@ import pytest
 
 from weatherlpr import tensorops as T
 
+from helpers import numeric_gradient, relative_error
+
 
 def check(analytic, f, x, tol=1e-6, step=1e-3):
-    num = T.numeric_gradient(f, np.array(x, dtype=float), step=step)
-    err = T.relative_error(analytic, num)
+    num = numeric_gradient(f, np.array(x, dtype=float), step=step)
+    err = relative_error(analytic, num)
     assert err < tol, err
 
 
@@ -289,9 +291,9 @@ class TestHarness:
         # known-gradient self-check of the finite-difference harness
         A = np.array([[2.0, 1.0], [1.0, 3.0]])
         x = np.array([1.5, -0.5])
-        num = T.numeric_gradient(lambda v: 0.5 * v @ A @ v, x)
+        num = numeric_gradient(lambda v: 0.5 * v @ A @ v, x)
         np.testing.assert_allclose(num, A @ x, atol=1e-8)
 
     def test_relative_error(self):
-        assert T.relative_error(np.ones(3), np.ones(3)) == 0.0
-        assert T.relative_error(np.ones(3), 1.001 * np.ones(3)) < 2e-3
+        assert relative_error(np.ones(3), np.ones(3)) == 0.0
+        assert relative_error(np.ones(3), 1.001 * np.ones(3)) < 2e-3
