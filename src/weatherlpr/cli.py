@@ -61,9 +61,17 @@ def _scan_files(directory):
 
 def _entries(paths, poses):
     """bench.ScanEntry per scan file, read one at a time; the scan id is the
-    file name's stem."""
+    file name's stem, an integer that no other file has."""
+    seen = {}
     for path in paths:
-        sid = int(os.path.splitext(os.path.basename(path))[0])
+        stem = os.path.splitext(os.path.basename(path))[0]
+        try:
+            sid = int(stem)
+        except ValueError:
+            raise ScanParseError(f"{path}: file name {stem!r} is not a scan id") from None
+        if sid in seen:
+            raise ScanParseError(f"{path}: scan id {sid} repeats {seen[sid]}")
+        seen[sid] = path
         if sid not in poses:
             raise ConfigError(f"no pose for scan {sid}")
         yield bench.ScanEntry(sid, read_scan(path), poses[sid])

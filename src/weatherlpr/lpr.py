@@ -3,6 +3,7 @@ pre-search, and column-shift matching.
 """
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ CANDIDATE_FACTOR = 10  # ring-key pre-selection keeps 10 * top_n candidates
 
 _DB_MAGIC = b"WLDB"
 _DB_VERSION = 1
-_LOAD_BLOCK = 8      # entries that PlaceDatabase.load reads and indexes at a time
+_INDEX_BLOCK = 8     # entries that PlaceDatabase indexes, and load reads, at a time
 _GATHER_BLOCK = 64   # candidates whose spectra a query gathers at a time
 
 
@@ -113,10 +114,9 @@ def sc_distance(a: ScanContext, b: ScanContext):
 class PlaceDatabase:
     """Location-tagged descriptors with a ring-key index for pre-search.
 
-    Next to ``ids``, ``poses`` and ``descriptors`` it keeps one row per entry
-    in exact-size arrays: ring key, id, ring spectra and non-empty columns,
-    computed once when the entry is added or loaded. A query gathers its
-    candidates' rows by index.
+    ``add`` is the only way in. Next to ``ids``, ``poses`` and ``descriptors``
+    the index holds one row per entry (ring key, id, ring spectra, non-empty
+    columns), written by ``_index`` in blocks; rows past ``len(self)`` are spare.
     """
 
     def __init__(self, rings: int = DEFAULT_RINGS, sectors: int = DEFAULT_SECTORS):
@@ -126,6 +126,7 @@ class PlaceDatabase:
         self.poses: list[tuple[float, float]] = []
         self.descriptors: list[ScanContext] = []
         self._id_set: set[int] = set()
+        self._indexed = 0    # entries whose index rows are written
         self._keys = np.empty((0, rings))
         self._id_array = np.empty(0, dtype=np.int64)
         self._spectra = np.empty((0, sectors // 2 + 1, rings), dtype=complex)
@@ -135,33 +136,54 @@ class PlaceDatabase:
         return len(self.ids)
 
     def add(self, scan_id: int, pose, descriptor: ScanContext) -> None:
+        """Append an entry: an id not yet present, a finite (x, y) pose and
+        (R, S) cells with an (R,) ring key, else ValueError."""
         scan_id, pose = int(scan_id), (float(pose[0]), float(pose[1]))
         if scan_id in self._id_set:
             raise ValueError(f"duplicate scan id: {scan_id}")
+        if not (math.isfinite(pose[0]) and math.isfinite(pose[1])):
+            raise ValueError(f"non-finite pose {pose} for scan id {scan_id}")
         if (descriptor.cells.shape != (self.rings, self.sectors)
                 or np.shape(descriptor.ring_key) != (self.rings,)):
             raise ValueError("descriptor shape does not match database")
-        spectra, nonempty = _ring_spectra(descriptor.cells)
-        n = len(self.ids) + 1
-        # resize grows each array in place by realloc, so no second copy
-        # stays behind. No view of these arrays outlives a call of this
-        # class, so the reference check is off: a tracer's or profiler's
-        # reference to a frame would otherwise make resize refuse
-        self._keys.resize((n, self.rings), refcheck=False)
-        self._id_array.resize(n, refcheck=False)
-        self._spectra.resize((n,) + spectra.shape, refcheck=False)
-        self._nonempty.resize((n, self.sectors), refcheck=False)
-        self._keys[-1], self._id_array[-1] = descriptor.ring_key, scan_id
-        self._spectra[-1], self._nonempty[-1] = spectra, nonempty
         self.ids.append(scan_id)
         self._id_set.add(scan_id)
         self.poses.append(pose)
         self.descriptors.append(descriptor)
+        n = len(self.ids)
+        if len(self._keys) < n:
+            # rows to the end of this entry's block, so the arrays grow once a
+            # block and a query grows none. resize reallocs in place; its
+            # reference check is off, since no view outlives a call of this
+            # class and a tracer's reference to a frame would make it refuse
+            rows = -(-n // _INDEX_BLOCK) * _INDEX_BLOCK
+            self._keys.resize((rows, self.rings), refcheck=False)
+            self._id_array.resize(rows, refcheck=False)
+            self._spectra.resize((rows,) + self._spectra.shape[1:], refcheck=False)
+            self._nonempty.resize((rows, self.sectors), refcheck=False)
+        if n - self._indexed >= _INDEX_BLOCK:
+            self._index()
+
+    def _index(self) -> None:
+        """Write the index rows of every entry not yet indexed, with one
+        _ring_spectra call on their cells, stacked as float64 as load reads
+        them, so no entry's row depends on the others in its block."""
+        lo, n = self._indexed, len(self.ids)
+        if lo == n:
+            return
+        new = self.descriptors[lo:]
+        self._keys[lo:n] = [d.ring_key for d in new]
+        self._id_array[lo:n] = self.ids[lo:]
+        self._spectra[lo:n], self._nonempty[lo:n] = _ring_spectra(
+            np.stack([d.cells for d in new], dtype=float))
+        self._indexed = n
 
     def candidates(self, q: ScanContext, count: int) -> np.ndarray:
         """Indices of the ``count`` nearest entries by ring-key L2 distance."""
-        d = np.linalg.norm(self._keys - q.ring_key, axis=1)
-        return np.lexsort((self._id_array, d))[:count]
+        self._index()
+        n = len(self.ids)
+        d = np.linalg.norm(self._keys[:n] - q.ring_key, axis=1)
+        return np.lexsort((self._id_array[:n], d))[:count]
 
     def query(self, q: ScanContext, top_n: int = 1, exclude_ids=None):
         """Ranked (scan id, distance) list; ties broken by lower scan id.
@@ -203,8 +225,8 @@ class PlaceDatabase:
         pointcloud.ScanParseError.
 
         The header's entry count is checked against the file's size before
-        anything is allocated; the body is then read and indexed in blocks
-        of _LOAD_BLOCK entries.
+        anything is allocated; the body is then read in blocks of
+        _INDEX_BLOCK entries, and each entry goes through add.
         """
         with open(path, "rb") as fh:
             if fh.read(4) != _DB_MAGIC:
@@ -228,26 +250,23 @@ class PlaceDatabase:
             record = np.dtype([("id", "<i8"), ("pose", "<f8", 2),
                                ("cells", "<f4", (rings, sectors))])
             db = cls(rings=rings, sectors=sectors)
-            ids, poses = np.empty(count, dtype=np.int64), np.empty((count, 2))
+            # exact-size index arrays, so add never grows them here
             db._keys = np.empty((count, rings))
+            db._id_array = np.empty(count, dtype=np.int64)
             db._spectra = np.empty((count, sectors // 2 + 1, rings), dtype=complex)
             db._nonempty = np.empty((count, sectors), dtype=bool)
-            for lo in range(0, count, _LOAD_BLOCK):
-                hi = min(lo + _LOAD_BLOCK, count)
+            for lo in range(0, count, _INDEX_BLOCK):
+                hi = min(lo + _INDEX_BLOCK, count)
                 block = np.frombuffer(read_exact(fh, (hi - lo) * record.itemsize, path),
                                       dtype=record)
                 if not np.isfinite(block["cells"]).all():
                     raise ScanParseError(f"{path}: non-finite cells in entries {lo}-{hi - 1}")
-                cells = block["cells"].astype(float)
-                keys = _ring_key(cells)
-                ids[lo:hi], poses[lo:hi], db._keys[lo:hi] = block["id"], block["pose"], keys
-                db._spectra[lo:hi], db._nonempty[lo:hi] = _ring_spectra(cells)
                 # small blocks of cells, which the descriptors view, reuse freed heap
-                db.descriptors += map(ScanContext, cells, keys)
-        unique, counts = np.unique(ids, return_counts=True)
-        if (counts > 1).any():
-            raise ScanParseError(f"{path}: duplicate scan id: {unique[counts > 1][0]}")
-        db.ids, db._id_array = ids.tolist(), ids
-        db._id_set = set(db.ids)
-        db.poses = list(zip(*poses.T.tolist()))
+                cells = block["cells"].astype(float)
+                try:
+                    for sid, pose, c, key in zip(block["id"], block["pose"], cells,
+                                                 _ring_key(cells)):
+                        db.add(sid, pose, ScanContext(c, key))
+                except ValueError as exc:
+                    raise ScanParseError(f"{path}: {exc}") from exc
         return db

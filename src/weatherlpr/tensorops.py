@@ -26,13 +26,18 @@ def _reflect_indices(n: int, pad: int) -> np.ndarray:
 
 
 def pad_reflect(x: np.ndarray, ph: int, pw: int):
-    """Reflect-pad the first two axes. Returns (padded, cache)."""
+    """Reflect-pad the first two axes. Returns (padded, cache); with both
+    pads 0 the padded array is ``x`` itself and the cache is None."""
+    if ph == pw == 0:
+        return x, None
     ih = _reflect_indices(x.shape[0], ph)
     iw = _reflect_indices(x.shape[1], pw)
     return x[np.ix_(ih, iw)], (x.shape, ih, iw)
 
 
 def pad_reflect_backward(cache, gpad: np.ndarray) -> np.ndarray:
+    if cache is None:
+        return gpad
     shape, ih, iw = cache
     gx = np.zeros(shape, dtype=gpad.dtype)
     np.add.at(gx, (ih[:, None], iw[None, :]), gpad)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import shutil
 import sys
 import tracemalloc
 
@@ -190,6 +191,40 @@ class TestInputErrors:
         bad.write_bytes(bytes(blob))
         scan = sorted((world_dir / "database").glob("*.bin"))[0]
         assert cli.main(["retrieve", "--db", str(bad), "--query", str(scan)]) == cli.EXIT_DATA
+
+    def test_database_with_nan_pose_exits_3(self, world_dir, db_path, tmp_path, capsys):
+        blob = bytearray(db_path.read_bytes())
+        blob[28:36] = np.array([np.nan], dtype="<f8").tobytes()   # entry 0's x
+        bad = tmp_path / "nan.db"
+        bad.write_bytes(bytes(blob))
+        rc = cli.main(["evaluate", "--db", str(bad), "--queries", str(world_dir / "queries"),
+                       "--query-poses", str(world_dir / "query_poses.txt")])
+        assert rc == cli.EXIT_DATA
+        assert "nan.db:" in capsys.readouterr().err
+
+    def scans_with(self, world_dir, tmp_path, name):
+        """The database scans plus one more file ``name``, a copy of the second."""
+        scans = tmp_path / "scans"
+        shutil.copytree(world_dir / "database", scans)
+        source = sorted(scans.glob("*.bin"))[1]
+        shutil.copyfile(source, scans / name)
+        return scans, source
+
+    def test_scan_name_not_an_id_exits_3(self, world_dir, tmp_path, capsys):
+        scans, _ = self.scans_with(world_dir, tmp_path, "notes.bin")
+        rc = cli.main(["index", "--in", str(scans), "--poses",
+                       str(world_dir / "database_poses.txt"), "--out", str(tmp_path / "p.db")])
+        assert rc == cli.EXIT_DATA
+        assert str(scans / "notes.bin") in capsys.readouterr().err
+
+    def test_scan_names_repeating_an_id_exit_3(self, world_dir, tmp_path, capsys):
+        scans, source = self.scans_with(world_dir, tmp_path, "1.bin")
+        assert source.name == "000001.bin"
+        rc = cli.main(["index", "--in", str(scans), "--poses",
+                       str(world_dir / "database_poses.txt"), "--out", str(tmp_path / "p.db")])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(scans / "1.bin") in err and str(source) in err
 
     @pytest.mark.parametrize("rings, sectors", [(20, 0), (0, 60)])
     def test_database_with_empty_grid_exits_3(self, world_dir, tmp_path, rings, sectors):

@@ -196,11 +196,30 @@ class TestDatabase:
         with pytest.raises(ValueError):
             db.add(2, (0.0, 0.0), db.descriptors[0])
 
+    @pytest.mark.parametrize("pose", [(np.inf, 0.0), (0.0, -np.inf), (np.nan, 1.0)],
+                             ids=["inf x", "-inf y", "nan x"])
+    def test_non_finite_pose_rejected(self, pose):
+        db, _ = build_db(n=3)
+        with pytest.raises(ValueError, match="non-finite pose"):
+            db.add(5, pose, db.descriptors[0])
+        assert db.ids == [0, 1, 2]
+
+    def test_non_finite_pose_is_data_error(self, tmp_path):
+        db, _ = build_db(n=3)
+        db.save(tmp_path / "db.bin")
+        blob = bytearray((tmp_path / "db.bin").read_bytes())
+        blob[28:36] = np.array([np.nan], dtype="<f8").tobytes()   # entry 0's x
+        (tmp_path / "bad.bin").write_bytes(bytes(blob))
+        with pytest.raises(ScanParseError, match="bad.bin: non-finite pose"):
+            PlaceDatabase.load(tmp_path / "bad.bin")
+
     def test_save_load_roundtrip(self, tmp_path):
         db, clouds = build_db(n=8)
         db.save(tmp_path / "db.bin")
         back = PlaceDatabase.load(tmp_path / "db.bin")
         assert back.ids == db.ids
+        back.save(tmp_path / "again.bin")
+        assert (tmp_path / "again.bin").read_bytes() == (tmp_path / "db.bin").read_bytes()
         q = make_descriptor(clouds[5])
         a = db.query(q, top_n=3)
         b = back.query(q, top_n=3)
@@ -300,6 +319,42 @@ class TestDatabase:
         assert got[99] == 1.0
         assert db.query(empty, top_n=len(db)) == [(sid, 1.0) for sid in sorted(db.ids)]
 
+    @pytest.mark.parametrize("build", [1, 7, 8, 9, 16, 17, "load", "add after load",
+                                       "add after query"])
+    def test_ranking_matches_brute_force_however_built(self, tmp_path, build):
+        # entries wait for their index rows in blocks of 8, so a query may
+        # come with 1 to 7 of them waiting
+        if isinstance(build, int):
+            db, _ = build_db(n=build)
+        else:
+            db, _ = build_db(n=13)
+            if build != "add after query":
+                db.save(tmp_path / "db.bin")
+                db = PlaceDatabase.load(tmp_path / "db.bin")
+            if build != "load":
+                db.query(make_descriptor(structured_cloud(500)))
+                for k in range(13, 24):
+                    db.add(k, (float(k), 1.0), make_descriptor(structured_cloud(5 + k)))
+        for seed in (3, 17, 999):
+            q = make_descriptor(rot_z(structured_cloud(seed), 0.3))
+            for top_n in (1, 2):
+                assert_matches_brute(db.query(q, top_n=top_n), brute_query(db, q, top_n))
+
+    def test_float32_cells_score_as_after_load(self, tmp_path):
+        # load reads float32 cells as float64; added ones are indexed the same
+        # way, whatever the other entries of their block hold
+        rng = np.random.default_rng(12)
+        db = PlaceDatabase()
+        for k in range(13):
+            cells = sparse_cells(rng, 20, 60)
+            db.add(k, (float(k), 0.0), context(cells.astype(np.float32) if k % 3 else cells))
+        db.save(tmp_path / "db.bin")
+        back = PlaceDatabase.load(tmp_path / "db.bin")
+        for _ in range(3):
+            q = context(sparse_cells(rng, 20, 60))
+            got, want = dict(db.query(q, top_n=len(db))), dict(back.query(q, top_n=len(db)))
+            assert [got[k] for k in range(13) if k % 3] == [want[k] for k in range(13) if k % 3]
+
     def test_loaded_database_matches_brute_force(self, tmp_path):
         db, clouds = build_db(n=40)
         db.save(tmp_path / "db.bin")
@@ -317,20 +372,22 @@ class TestDatabase:
         assert len(db.query(q, top_n=len(db))) == 11
 
     def test_query_memory_bounded(self):
-        rng = np.random.default_rng(8)
-        db = PlaceDatabase()
-        for k in range(600):
-            cells = rng.uniform(-2.0, 5.0, (20, 60)) * (rng.random((1, 60)) < 0.8)
-            db.add(k, (float(k), 0.0), ScanContext(cells, (cells != 0).mean(axis=1)))
-        q = db.descriptors[123]
-        tracemalloc.start()
-        try:
-            got = db.query(q, top_n=20)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert got[0][0] == 123
-        assert peak <= 4 * 2**20, f"{peak / 2**20:.1f} MB"
+        # at 605 entries the query also indexes the 5 that wait for a block
+        for n in (600, 605):
+            rng = np.random.default_rng(8)
+            db = PlaceDatabase()
+            for k in range(n):
+                cells = rng.uniform(-2.0, 5.0, (20, 60)) * (rng.random((1, 60)) < 0.8)
+                db.add(k, (float(k), 0.0), ScanContext(cells, (cells != 0).mean(axis=1)))
+            q = db.descriptors[123]
+            tracemalloc.start()
+            try:
+                got = db.query(q, top_n=20)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got[0][0] == 123
+            assert peak <= 4 * 2**20, f"{n} entries: {peak / 2**20:.1f} MB"
 
 
 def sparse_cells(rng, rings, sectors):
