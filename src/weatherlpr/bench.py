@@ -4,15 +4,15 @@ optional restoration preprocessing, retrieval, and report assembly.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from . import lpr, metrics, weathersim
-from .pointcloud import (PointCloud, ProjectionSpec, ScanParseError, back_project,
-                         project, read_text_lines)
+from .pointcloud import (COUNT, NATURAL, POSITIVE, PointCloud, ProjectionSpec,
+                         ScanParseError, back_project, check_fields, project,
+                         read_text_lines, scan_id)
 from .restorenet import ResLPRNet, load_checkpoint
 
 QUERY_ID_BASE = 100000
@@ -91,7 +91,7 @@ def read_pose_file(path) -> dict:
         try:
             if len(parts) != 3:
                 raise ValueError(f"{len(parts)} fields, not 3")
-            sid, pose = int(parts[0]), (float(parts[1]), float(parts[2]))
+            sid, pose = scan_id(parts[0], f"{path}:{lineno}"), (float(parts[1]), float(parts[2]))
             if not np.isfinite(pose).all():
                 raise ValueError("non-finite coordinate")
         except ValueError as exc:
@@ -108,16 +108,8 @@ def write_pose_file(entries, path) -> None:
             fh.write(f"{e.scan_id} {e.pose[0]:.6f} {e.pose[1]:.6f}\n")
 
 
-# RunConfig's numeric fields: (name, accepted types, test, what the test asks)
-_NUMBER_FIELDS = (
-    ("top_n", int, lambda v: v >= 1, "an integer >= 1"),
-    ("rings", int, lambda v: v >= 1, "an integer >= 1"),
-    ("sectors", int, lambda v: v >= 1, "an integer >= 1"),
-    ("exclude_recent", int, lambda v: v >= 0, "an integer >= 0"),
-    ("seed", int, lambda v: True, "an integer"),
-    ("pos_radius", (int, float), lambda v: 0 < v < math.inf, "a finite number > 0"),
-    ("max_radius", (int, float), lambda v: 0 < v < math.inf, "a finite number > 0"),
-)
+_NUMBER_FIELDS = {"top_n": COUNT, "rings": COUNT, "sectors": COUNT, "exclude_recent": NATURAL,
+                  "seed": NATURAL, "pos_radius": POSITIVE, "max_radius": POSITIVE}
 
 
 @dataclass(frozen=True)
@@ -160,11 +152,7 @@ class RunConfig:
                 raise ConfigError(f"unknown {name}: {bad}")
             if len(set(values)) != len(values):
                 raise ConfigError(f"repeated {name}: {list(values)}")
-        for name, types, ok, rule in _NUMBER_FIELDS:
-            value = getattr(self, name)
-            # a bool is an int: True would run as 1
-            if isinstance(value, bool) or not isinstance(value, types) or not ok(value):
-                raise ConfigError(f"{name} must be {rule}, got {value!r}")
+        check_fields(vars(self), _NUMBER_FIELDS, ConfigError)
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +233,11 @@ def make_synthetic_world(seed: int, n_places: int, revisit_fraction: float = 1.0
     the same place layout from a jittered pose (<= 1 m offset, sector-aligned
     yaw); the remaining queries visit novel places with no positive match.
     """
-    if n_places < 2:
-        raise ConfigError("n_places must be >= 2")
-    if not 0.0 <= revisit_fraction <= 1.0:
-        raise ConfigError("revisit_fraction must be in [0, 1]")
-    root = np.random.SeedSequence([int(seed), 0x57454c50])
+    check_fields(locals(), {
+        "seed": NATURAL, "n_places": (int, lambda v: v >= 2, "an integer >= 2"),
+        "revisit_fraction": ((int, float), lambda v: 0 <= v <= 1, "a number in [0, 1]"),
+        "points_per_scan": COUNT}, ConfigError)
+    root = np.random.SeedSequence([seed, 0x57454c50])
     spacing = 12.0
     radius = n_places * spacing / (2 * np.pi)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bench, lpr, metrics, weathersim
 from .bench import ConfigError, RunConfig
-from .pointcloud import ProjectionSpec, ScanParseError, project, read_scan, write_scan
+from .pointcloud import ProjectionSpec, ScanParseError, project, read_scan, scan_id, write_scan
 from .restorenet import (NetConfig, ResLPRNet, TrainOptions, load_checkpoint,
                          save_checkpoint, train)
 
@@ -37,9 +37,10 @@ def _projection(**given) -> ProjectionSpec:
     unknown = given.keys() - _PROJECTION_KEYS
     if unknown:
         raise ConfigError(f"unknown projection fields: {sorted(unknown)}")
+    # a bool passes unconverted, so ProjectionSpec rejects it as it does any bool
     return ProjectionSpec(**{key.removesuffix("_deg"): math.radians(value)
-                             if key.endswith("_deg") else value
-                             for key, value in given.items()})
+                             if key.endswith("_deg") and not isinstance(value, bool)
+                             else value for key, value in given.items()})
 
 
 def _projection_from_args(args) -> ProjectionSpec:
@@ -64,11 +65,7 @@ def _entries(paths, poses):
     file name's stem, an integer that no other file has."""
     seen = {}
     for path in paths:
-        stem = os.path.splitext(os.path.basename(path))[0]
-        try:
-            sid = int(stem)
-        except ValueError:
-            raise ScanParseError(f"{path}: file name {stem!r} is not a scan id") from None
+        sid = scan_id(os.path.splitext(os.path.basename(path))[0], path)
         if sid in seen:
             raise ScanParseError(f"{path}: scan id {sid} repeats {seen[sid]}")
         seen[sid] = path

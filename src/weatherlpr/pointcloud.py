@@ -1,4 +1,4 @@
-"""LiDAR scan I/O, spherical range-image projection, and back-projection."""
+"""LiDAR scan I/O, range-image projection and back-projection, and config field rules."""
 from __future__ import annotations
 
 import math
@@ -12,6 +12,30 @@ POINT_RECORD_BYTES = 16  # x, y, z, intensity as little-endian float32
 
 class ScanParseError(ValueError):
     """Malformed binary scan file."""
+
+
+# A field rule: (accepted types, test, what the test asks)
+NATURAL = (int, lambda v: v >= 0, "an integer >= 0")   # seeds: numpy takes no negative one
+COUNT = (int, lambda v: v >= 1, "an integer >= 1")
+FINITE = ((int, float), math.isfinite, "finite")
+POSITIVE = ((int, float), lambda v: 0 < v < math.inf, "finite and > 0")
+NON_NEGATIVE = ((int, float), lambda v: 0 <= v < math.inf, "finite and non-negative")
+
+
+def check_fields(values: dict, rules: dict, error=ValueError) -> None:
+    """Raise ``error`` for the first of ``values`` named in ``rules`` that is a
+    bool (an int, so True would run as 1), is not of its rule's types or fails its test."""
+    for name, (types, ok, rule) in rules.items():
+        value = values[name]
+        if isinstance(value, bool) or not isinstance(value, types) or not ok(value):
+            raise error(f"{name} must be {rule}, got {value!r}")
+
+
+def scan_id(text: str, where) -> int:
+    """``text`` as a scan id: ASCII digits only, else ScanParseError naming ``where``."""
+    if not (text.isascii() and text.isdigit()):
+        raise ScanParseError(f"{where}: {text!r} is not a scan id")
+    return int(text)
 
 
 @dataclass(frozen=True)
@@ -54,14 +78,10 @@ class ProjectionSpec:
     max_range: float = 80.0
 
     def __post_init__(self):
-        if self.height < 1 or self.width < 1:
-            raise ValueError("height and width must be >= 1")
-        if not all(map(math.isfinite, (self.fov_up, self.fov_down, self.max_range))):
-            raise ValueError("fov_up, fov_down and max_range must be finite")
+        check_fields(vars(self), {"height": COUNT, "width": COUNT, "fov_up": FINITE,
+                                  "fov_down": FINITE, "max_range": POSITIVE})
         if self.fov_up <= self.fov_down:
             raise ValueError("fov_up must exceed fov_down")
-        if self.max_range <= 0:
-            raise ValueError("max_range must be positive")
 
 
 @dataclass(frozen=True)

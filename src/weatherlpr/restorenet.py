@@ -17,7 +17,8 @@ import numpy as np
 
 from . import tensorops as ops
 from . import wavelet
-from .pointcloud import RangeImage, ScanParseError, read_exact
+from .pointcloud import (COUNT, NATURAL, POSITIVE, RangeImage, ScanParseError,
+                         check_fields, read_exact)
 
 _CKPT_MAGIC = b"WLCK"
 _CKPT_VERSION = 1
@@ -34,12 +35,9 @@ class NetConfig:
 
     def __post_init__(self):
         # the decoder's input, 2 * base_channels, must divide by 4
-        if self.base_channels < 2 or self.base_channels % 2:
-            raise ValueError(f"base_channels must be even and >= 2, got {self.base_channels!r}")
-        if self.n_contexts < 1:
-            raise ValueError("n_contexts must be >= 1")
-        if self.attn_token_cap < 1:
-            raise ValueError("attn_token_cap must be >= 1")
+        check_fields(vars(self), {
+            "base_channels": (int, lambda v: v >= 2 and v % 2 == 0, "even and >= 2"),
+            "n_contexts": COUNT, "attn_token_cap": COUNT, "seed": NATURAL})
 
 
 class Param:
@@ -473,10 +471,7 @@ class TrainOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.epochs, bool) or not isinstance(self.epochs, int) or self.epochs < 1:
-            raise ValueError(f"epochs must be an integer >= 1, got {self.epochs!r}")
-        if not 0 < self.lr < math.inf:
-            raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
+        check_fields(vars(self), {"lr": POSITIVE, "epochs": COUNT, "seed": NATURAL})
         # forward_array takes sides of at least 16
         if not isinstance(self.patch, (tuple, list)) or len(self.patch) != 2 or any(
                 isinstance(v, bool) or not isinstance(v, int) or v < 16 for v in self.patch):

@@ -24,13 +24,13 @@ in parallel without changing results.
 """
 from __future__ import annotations
 
-import math
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pointcloud import PointCloud, ScanParseError, read_text_lines
+from .pointcloud import (NATURAL, NON_NEGATIVE, PointCloud, ScanParseError, check_fields,
+                         read_text_lines)
 
 DETECT_FLOOR = 0.005   # attenuated returns below this intensity are lost
 SCATTER_MIN = 1.5      # meters; nearest plausible particle return
@@ -45,8 +45,7 @@ class FogParams:
 
     def __post_init__(self):
         # finite: a zero-range point's i_hard is i0 only while alpha * 0 is 0
-        if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
-            raise ValueError("alpha and beta must be finite and non-negative")
+        check_fields(vars(self), {"alpha": NON_NEGATIVE, "beta": NON_NEGATIVE, "seed": NATURAL})
 
 
 @dataclass(frozen=True)
@@ -58,8 +57,7 @@ class ParticleParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.rate < math.inf:
-            raise ValueError("rate must be finite and non-negative")
+        check_fields(vars(self), {"rate": NON_NEGATIVE, "seed": NATURAL})
 
 
 class SnowParams(ParticleParams):
@@ -111,7 +109,7 @@ class CorruptionAnnotation:
 def scan_rng(seed: int, frame_id: str) -> np.random.Generator:
     """Per-scan RNG stream: seed split by a CRC of the frame id."""
     return np.random.default_rng(
-        np.random.SeedSequence([int(seed), zlib.crc32(frame_id.encode())]))
+        np.random.SeedSequence([seed, zlib.crc32(frame_id.encode())]))
 
 
 def _fog_model(cloud: PointCloud, p: FogParams, rng):

@@ -17,7 +17,7 @@ from weatherlpr import bench, lpr, metrics as M, restorenet as R
 from weatherlpr import tensorops as T, wavelet as W, weathersim as S
 from weatherlpr.pointcloud import PointCloud, ProjectionSpec, project
 
-from helpers import numeric_gradient, relative_error
+from helpers import brute_auc_f1, brute_recall, numeric_gradient, relative_error
 
 
 def report(name, ok, detail=""):
@@ -297,44 +297,6 @@ def test_criterion_6_loss_oracle():
         worst = max(worst, abs(value - brute))
     report("criterion 6: L1 loss vs brute-force summation (100 pairs)",
            worst <= 1e-7, f"max abs err {worst:.2e}")
-
-
-def brute_recall(records, n, radius):
-    hits = total = 0
-    for rec in records:
-        pos = [s for s, p in rec.db_poses.items()
-               if math.dist(rec.query_pose, p) <= radius]
-        if not pos:
-            continue
-        total += 1
-        if any(s in pos for s, _ in rec.matches[:n]):
-            hits += 1
-    return hits / total
-
-
-def brute_auc_f1(records, radius):
-    rows = []
-    for rec in records:
-        sid, d = rec.matches[0]
-        correct = math.dist(rec.query_pose, rec.db_poses[sid]) <= radius
-        has_pos = any(math.dist(rec.query_pose, p) <= radius
-                      for p in rec.db_poses.values())
-        rows.append((d, correct, has_pos))
-    pts, f1s = [], []
-    for t in sorted({d for d, _, _ in rows}):
-        tp = sum(1 for d, c, _ in rows if d <= t and c)
-        fp = sum(1 for d, c, _ in rows if d <= t and not c)
-        fn = sum(1 for d, _, hp in rows if d > t and hp)
-        pr = tp / (tp + fp) if tp + fp else 1.0
-        rc = tp / (tp + fn) if tp + fn else 0.0
-        pts.append((rc, pr))
-        if pr + rc:
-            f1s.append(2 * pr * rc / (pr + rc))
-    rc = [0.0] + [r for r, _ in pts]
-    pr = [pts[0][1]] + [p for _, p in pts]
-    auc = sum((rc[k + 1] - rc[k]) * (pr[k + 1] + pr[k]) / 2
-              for k in range(len(pts)))
-    return auc, (max(f1s) if f1s else 0.0)
 
 
 def make_record(rng, qid, n_db=20, n_matches=10, force_positive=None):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -11,7 +12,7 @@ from weatherlpr import bench, lpr, metrics, weathersim
 from weatherlpr.bench import (ConfigError, Manifest, RunConfig,
                               make_synthetic_world, run_benchmark)
 from weatherlpr.pointcloud import ProjectionSpec, ScanParseError
-from weatherlpr.restorenet import NetConfig, ResLPRNet
+from weatherlpr.restorenet import NetConfig, ResLPRNet, TrainOptions
 
 from helpers import write_world
 
@@ -78,6 +79,14 @@ class TestSyntheticWorld:
         with pytest.raises(ConfigError):
             make_synthetic_world(seed=0, n_places=1)
 
+    @pytest.mark.parametrize("setting", [
+        dict(points_per_scan=0), dict(revisit_fraction=True), dict(revisit_fraction=1.5),
+        dict(n_places=4.0), dict(seed=1.5),
+    ], ids=["points-0", "revisit-bool", "revisit-1.5", "places-float", "seed-float"])
+    def test_unusable_settings_rejected(self, setting):
+        with pytest.raises(ConfigError, match=f"^{next(iter(setting))} must be "):
+            make_synthetic_world(**{"seed": 0, "n_places": 4, **setting})
+
     def test_write_world_layout(self, tmp_path):
         world = make_synthetic_world(seed=1, n_places=3, revisit_fraction=1.0)
         write_world(world, tmp_path)
@@ -138,7 +147,8 @@ class TestManifest:
 
 class TestPoseFile:
     @pytest.mark.parametrize("line", ["0 1.0", "0 1.0 north", "zero 1.0 2.0",
-                                      "0 1e999 2.0", "0 1.0 nan", "0 1.0 2.0 junk"])
+                                      "0 1e999 2.0", "0 1.0 nan", "0 1.0 2.0 junk",
+                                      "0_1 1.0 2.0", "+1 1.0 2.0"])
     def test_malformed_line_names_path_and_line(self, tmp_path, line):
         path = tmp_path / "poses.txt"
         path.write_text(f"5 0.0 0.0\n\n{line}\n")
@@ -177,7 +187,7 @@ class TestRunConfig:
         ("exclude_recent", False), ("seed", 1.5), ("seed", True), ("seed", None),
         ("pos_radius", "5"), ("pos_radius", -1.0), ("pos_radius", 0), ("pos_radius", True),
         ("pos_radius", math.nan), ("max_radius", math.inf), ("max_radius", 0.0),
-        ("max_radius", [80.0]),
+        ("max_radius", [80.0]), ("seed", -1),
     ])
     def test_numbers_must_be_in_range_and_of_their_type(self, field, value):
         with pytest.raises(ConfigError, match=f"^{field} must be "):
@@ -199,6 +209,23 @@ class TestRunConfig:
         cfg = RunConfig(top_n=1, rings=1, sectors=1, exclude_recent=0,
                         pos_radius=5, max_radius=0.5)
         assert (cfg.pos_radius, cfg.max_radius) == (5, 0.5)
+
+
+# each config class, with the values its required fields need
+CONFIG_CLASSES = {ProjectionSpec: {}, NetConfig: {}, TrainOptions: {}, RunConfig: {},
+                  weathersim.FogParams: {"alpha": 0.1, "beta": 0.1},
+                  weathersim.SnowParams: {"rate": 1.0}, weathersim.RainParams: {"rate": 1.0}}
+
+
+@pytest.mark.parametrize("cls, name", [
+    pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
+    for cls in CONFIG_CLASSES for f in dataclasses.fields(cls)
+    if f.type in (int, float, "int", "float")])
+@pytest.mark.parametrize("value", [True, "1"])
+def test_every_number_field_has_a_rule(cls, name, value):
+    # a field added without a rule accepts these and fails here
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        cls(**{**CONFIG_CLASSES[cls], name: value})
 
 
 def fixed_preset(monkeypatch, params):

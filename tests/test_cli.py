@@ -211,11 +211,17 @@ class TestInputErrors:
         return scans, source
 
     def test_scan_name_not_an_id_exits_3(self, world_dir, tmp_path, capsys):
-        scans, _ = self.scans_with(world_dir, tmp_path, "notes.bin")
-        rc = cli.main(["index", "--in", str(scans), "--poses",
-                       str(world_dir / "database_poses.txt"), "--out", str(tmp_path / "p.db")])
-        assert rc == cli.EXIT_DATA
-        assert str(scans / "notes.bin") in capsys.readouterr().err
+        # renamed, not copied: int() reads 0_1 and +1 as scan 1, which then
+        # repeats no other file's id
+        for name in ("notes.bin", "0_1.bin", "+1.bin"):
+            scans = tmp_path / name / "scans"
+            shutil.copytree(world_dir / "database", scans)
+            (scans / "000001.bin").rename(scans / name)
+            rc = cli.main(["index", "--in", str(scans), "--poses",
+                           str(world_dir / "database_poses.txt"),
+                           "--out", str(tmp_path / name / "p.db")])
+            assert rc == cli.EXIT_DATA, name
+            assert str(scans / name) in capsys.readouterr().err
 
     def test_scan_names_repeating_an_id_exit_3(self, world_dir, tmp_path, capsys):
         scans, source = self.scans_with(world_dir, tmp_path, "1.bin")
@@ -324,12 +330,18 @@ class TestInputErrors:
         {"synthetic": {"n_places": 4}, "checkpoint": 5},
         {"synthetic": {"n_places": 4}, "checkpoint": "net.ckpt"},
         {"synthetic": {"n_places": 4}, "preprocessing": "restorenet", "checkpoint": 5},
+        {"synthetic": {"n_places": 4}, "projection": {"height": 16.5}},
+        {"synthetic": {"n_places": 4}, "projection": {"width": True}},
+        {"synthetic": {"n_places": 4}, "projection": {"fov_up_deg": True}},
+        {"synthetic": {"n_places": 4, "points_per_scan": 0}},
+        {"synthetic": {"n_places": 4, "revisit_fraction": True}},
     ], ids=["both_sources", "sleet", "repeated_level", "scalar_kinds", "scalar_levels",
             "string_kinds", "float_level", "bool_level", "zero_rings", "zero_sectors",
             "string_pos_radius", "string_exclude_recent", "negative_pos_radius",
             "bool_top_n", "nan_max_range", "null_height", "list_projection",
             "checkpoint_without_restorenet", "path_without_restorenet",
-            "int_checkpoint"])
+            "int_checkpoint", "float_height", "bool_width", "bool_fov_up",
+            "zero_points_per_scan", "bool_revisit_fraction"])
     def test_rejected_before_any_stage_runs(self, tmp_path, cfg):
         assert self.bench(cfg, tmp_path) == cli.EXIT_CONFIG
         assert not (tmp_path / "run" / "report.json").exists()

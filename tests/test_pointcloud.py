@@ -60,6 +60,12 @@ class TestProject:
         with pytest.raises(ValueError, match="must be finite"):
             ProjectionSpec(**{field: value})
 
+    @pytest.mark.parametrize("field", ["height", "width"])
+    @pytest.mark.parametrize("value", [16.5, True, 0])
+    def test_spec_grid_must_be_integers_above_0(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1"):
+            ProjectionSpec(**{field: value})
+
     def test_axis_aligned_point(self):
         spec = sym_spec()
         cloud = PointCloud(np.array([[spec.max_range, 0.0, 0.0, 1.0]]))

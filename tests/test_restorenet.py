@@ -389,19 +389,29 @@ class TestTraining:
         dict(epochs=0), dict(epochs=-1), dict(epochs=2.0), dict(epochs=True),
         dict(lr=math.nan), dict(lr=math.inf), dict(lr=0.0), dict(lr=-1e-3),
         dict(patch=(8, 64)), dict(patch=(12, 0)), dict(patch=(-5, 32)), dict(patch=(16,)),
-        dict(patch=(16.0, 32)), dict(patch=16),
+        dict(patch=(16.0, 32)), dict(patch=16), dict(lr=True), dict(seed=1.5),
+        dict(seed=-1),
     ], ids=["epochs-0", "epochs-negative", "epochs-float", "epochs-bool",
             "lr-nan", "lr-inf", "lr-0", "lr-negative", "patch-8", "patch-12-0",
-            "patch-negative", "patch-one-side", "patch-float", "patch-scalar"])
+            "patch-negative", "patch-one-side", "patch-float", "patch-scalar",
+            "lr-bool", "seed-float", "seed-negative"])
     def test_unusable_settings_rejected(self, settings):
         with pytest.raises(ValueError, match=f"^{next(iter(settings))} must be"):
             R.TrainOptions(**settings)
 
-    @pytest.mark.parametrize("channels", [0, 1, 3, 7])
+    @pytest.mark.parametrize("channels", [0, 1, 3, 7, 8.0])
     def test_odd_or_tiny_base_channels_rejected(self, channels):
         # the decoder splits 2 * base_channels into four sub-bands
         with pytest.raises(ValueError, match="^base_channels must be even"):
             R.NetConfig(base_channels=channels)
+
+    @pytest.mark.parametrize("setting", [
+        dict(n_contexts=2.5), dict(n_contexts=0), dict(attn_token_cap=True),
+        dict(attn_token_cap=0),
+    ], ids=["contexts-float", "contexts-0", "cap-bool", "cap-0"])
+    def test_net_counts_must_be_integers_above_0(self, setting):
+        with pytest.raises(ValueError, match=f"^{next(iter(setting))} must be an integer >= 1"):
+            R.NetConfig(**setting)
 
 
 class TestCheckpoint:

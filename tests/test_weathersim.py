@@ -188,7 +188,7 @@ class TestPresets:
         lambda v: W.FogParams(v, 0.01), lambda v: W.FogParams(0.01, v),
         W.SnowParams, W.RainParams,
     ], ids=["fog-alpha", "fog-beta", "snow-rate", "rain-rate"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, True])
     def test_parameters_finite_and_non_negative(self, make, value):
         with pytest.raises(ValueError, match="finite and non-negative"):
             make(value)
