@@ -11,8 +11,8 @@ import numpy as np
 
 from . import lpr, metrics, weathersim
 from .pointcloud import (COUNT, NATURAL, POSITIVE, PointCloud, ProjectionSpec,
-                         ScanParseError, back_project, check_fields, project,
-                         read_text_lines, scan_id)
+                         ScanParseError, ascii_int, back_project, check_fields,
+                         project, read_text_lines)
 from .restorenet import ResLPRNet, load_checkpoint
 
 QUERY_ID_BASE = 100000
@@ -91,7 +91,7 @@ def read_pose_file(path) -> dict:
         try:
             if len(parts) != 3:
                 raise ValueError(f"{len(parts)} fields, not 3")
-            sid, pose = scan_id(parts[0], f"{path}:{lineno}"), (float(parts[1]), float(parts[2]))
+            sid, pose = ascii_int(parts[0], f"{path}:{lineno}"), (float(parts[1]), float(parts[2]))
             if not np.isfinite(pose).all():
                 raise ValueError("non-finite coordinate")
         except ValueError as exc:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bench, lpr, metrics, weathersim
 from .bench import ConfigError, RunConfig
-from .pointcloud import ProjectionSpec, ScanParseError, project, read_scan, scan_id, write_scan
+from .pointcloud import ProjectionSpec, ScanParseError, ascii_int, project, read_scan, write_scan
 from .restorenet import (NetConfig, ResLPRNet, TrainOptions, load_checkpoint,
                          save_checkpoint, train)
 
@@ -65,7 +65,7 @@ def _entries(paths, poses):
     file name's stem, an integer that no other file has."""
     seen = {}
     for path in paths:
-        sid = scan_id(os.path.splitext(os.path.basename(path))[0], path)
+        sid = ascii_int(os.path.splitext(os.path.basename(path))[0], path)
         if sid in seen:
             raise ScanParseError(f"{path}: scan id {sid} repeats {seen[sid]}")
         seen[sid] = path

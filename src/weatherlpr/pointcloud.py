@@ -31,10 +31,11 @@ def check_fields(values: dict, rules: dict, error=ValueError) -> None:
             raise error(f"{name} must be {rule}, got {value!r}")
 
 
-def scan_id(text: str, where) -> int:
-    """``text`` as a scan id: ASCII digits only, else ScanParseError naming ``where``."""
+def ascii_int(text: str, where) -> int:
+    """``text`` as a scan id or point index: ASCII digits only (no sign, no
+    ``_``), else ScanParseError naming ``where``."""
     if not (text.isascii() and text.isdigit()):
-        raise ScanParseError(f"{where}: {text!r} is not a scan id")
+        raise ScanParseError(f"{where}: {text!r} is not ASCII digits")
     return int(text)
 
 

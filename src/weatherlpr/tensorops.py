@@ -58,35 +58,47 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, groups: int = 1):
     if cout % groups:
         raise ShapeError(f"output channels {cout} not divisible by groups {groups}")
     xp, pad_cache = pad_reflect(x, kh // 2, kw // 2)
+    wb = _block_diagonal(w, groups)
     y = np.zeros((H, W, cout))
-    gi, go = cin // groups, cout // groups
-    for g in range(groups):
-        xs = slice(g * gi, (g + 1) * gi)
-        ys = slice(g * go, (g + 1) * go)
-        for ki in range(kh):
-            for kj in range(kw):
-                y[:, :, ys] += xp[ki:ki + H, kj:kj + W, xs] @ w[ki, kj, :, ys]
+    for ki in range(kh):
+        for kj in range(kw):
+            y += xp[ki:ki + H, kj:kj + W] @ wb[ki, kj]
     y += b
     return y, (xp, pad_cache, w, groups)
 
 
+def _block_diagonal(w: np.ndarray, groups: int) -> np.ndarray:
+    """Grouped weights (kh, kw, Cin/groups, Cout) as the (kh, kw, Cin, Cout)
+    weights of one ungrouped convolution, zero outside each group's block.
+    The zeros add exact zeros to each output's sum over input channels, so a
+    BLAS that sums those in order gives the bits of one product per group."""
+    if groups == 1:
+        return w
+    kh, kw, gi, cout = w.shape
+    wb = np.zeros((kh, kw, groups, gi, groups, cout // groups))
+    r = np.arange(groups)
+    wb[:, :, r, :, r] = np.moveaxis(w.reshape(kh, kw, gi, groups, -1), 3, 0)
+    return wb.reshape(kh, kw, groups * gi, cout)
+
+
 def conv2d_backward(cache, gy: np.ndarray):
     xp, pad_cache, w, groups = cache
-    kh, kw, cg, cout = w.shape
+    kh, kw, gi, cout = w.shape
     H, W, _ = gy.shape
-    cin = cg * groups
-    gi, go = cin // groups, cout // groups
-    gw = np.zeros(w.shape)
+    go = cout // groups
+    gw = np.empty(w.shape)
+    gy4 = gy.reshape(H, W, groups, go)
+    for ki in range(kh):
+        for kj in range(kw):
+            patch = xp[ki:ki + H, kj:kj + W].reshape(H, W, groups, gi)
+            gw[ki, kj] = np.einsum("hwgc,hwgd->cgd", patch, gy4).reshape(gi, cout)
     gxp = np.zeros_like(xp)
     for g in range(groups):
         xs = slice(g * gi, (g + 1) * gi)
         ys = slice(g * go, (g + 1) * go)
-        gys = gy[:, :, ys]
         for ki in range(kh):
             for kj in range(kw):
-                patch = xp[ki:ki + H, kj:kj + W, xs]
-                gw[ki, kj, :, ys] = np.einsum("hwc,hwd->cd", patch, gys)
-                gxp[ki:ki + H, kj:kj + W, xs] += gys @ w[ki, kj, :, ys].T
+                gxp[ki:ki + H, kj:kj + W, xs] += gy[:, :, ys] @ w[ki, kj, :, ys].T
     gx = pad_reflect_backward(pad_cache, gxp)
     return gx, gw, gy.sum(axis=(0, 1))
 
@@ -131,10 +143,11 @@ def linear_backward(cache, gy: np.ndarray):
     return gx, gw, gy.reshape(-1, w.shape[1]).sum(axis=0)
 
 
-def softmax(x: np.ndarray):
-    """Softmax over the last axis; rows sum to one. Leaves x unmodified and
-    allocates only the output."""
-    y = x - x.max(axis=-1, keepdims=True)
+def softmax(x: np.ndarray, out=None):
+    """Softmax over the last axis; rows sum to one. Writes into ``out``, which
+    may be ``x`` itself; without it, leaves x unmodified and allocates only
+    the output."""
+    y = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
     return y, y
@@ -168,9 +181,10 @@ def attention(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
     y = np.empty((n, v.shape[1]))
     p = np.empty((n, m)) if keep else None
     for i in range(0, n, rows):
-        logits = q[i:i + rows] @ kt
-        logits /= scale
-        pt, _ = softmax(logits)
+        pt = q[i:i + rows] @ kt
+        if scale != 1.0:  # x / 1.0 is x
+            pt /= scale
+        softmax(pt, out=pt)
         np.matmul(pt, v, out=y[i:i + rows])
         if keep:
             p[i:i + rows] = pt

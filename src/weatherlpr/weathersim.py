@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pointcloud import (NATURAL, NON_NEGATIVE, PointCloud, ScanParseError, check_fields,
-                         read_text_lines)
+from .pointcloud import (NATURAL, NON_NEGATIVE, PointCloud, ScanParseError, ascii_int,
+                         check_fields, read_text_lines)
 
 DETECT_FLOOR = 0.005   # attenuated returns below this intensity are lost
 SCATTER_MIN = 1.5      # meters; nearest plausible particle return
@@ -226,13 +226,14 @@ def read_annotations(path):
         block = []
         for n, tag in enumerate(("scan", "noise", "dropped"), k):
             line = lines[n] if n < len(lines) else "<end of file>"
+            where = f"{path}:{n + 1}"
             head, _, rest = line.partition(" ")
             if head != tag:
-                raise ScanParseError(f"{path}:{n + 1}: expected a '{tag}' line, got {line!r}")
+                raise ScanParseError(f"{where}: expected a '{tag}' line, got {line!r}")
             try:
                 block.append(rest if tag == "scan" else np.array(
-                    [int(t) for t in rest.split()], dtype=int))
-            except (ValueError, OverflowError) as exc:
-                raise ScanParseError(f"{path}:{n + 1}: bad index in {line!r}") from exc
+                    [ascii_int(t, where) for t in rest.split()], dtype=int))
+            except OverflowError as exc:
+                raise ScanParseError(f"{where}: index past int64 in {line!r}") from exc
         out[block[0]] = (block[1], block[2])
     return out

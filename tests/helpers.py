@@ -1,6 +1,6 @@
 """Test-only helpers: the central-difference gradient checker, loop-based
-Recall@N and AUC/F1 oracles, and a writer that puts a synthetic world on disk
-as scan files and pose files."""
+Recall@N and AUC/F1 oracles, the per-group convolution reference, and a
+writer that puts a synthetic world on disk as scan files and pose files."""
 import math
 import os
 
@@ -8,6 +8,7 @@ import numpy as np
 
 from weatherlpr.bench import SyntheticWorld, write_pose_file
 from weatherlpr.pointcloud import write_scan
+from weatherlpr.tensorops import pad_reflect, pad_reflect_backward
 
 
 def numeric_gradient(f, x: np.ndarray, step: float = 1e-3) -> np.ndarray:
@@ -34,6 +35,46 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
     if denom == 0.0:
         return 0.0
     return float(np.linalg.norm((np.asarray(a) - np.asarray(b)).ravel()) / denom)
+
+
+def grouped_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, groups: int = 1):
+    """Reference for tensorops.conv2d: one product per group and tap."""
+    H, W, cin = x.shape
+    kh, kw, cg, cout = w.shape
+    xp, pad_cache = pad_reflect(x, kh // 2, kw // 2)
+    y = np.zeros((H, W, cout))
+    gi, go = cin // groups, cout // groups
+    for g in range(groups):
+        xs = slice(g * gi, (g + 1) * gi)
+        ys = slice(g * go, (g + 1) * go)
+        for ki in range(kh):
+            for kj in range(kw):
+                y[:, :, ys] += xp[ki:ki + H, kj:kj + W, xs] @ w[ki, kj, :, ys]
+    y += b
+    return y, (xp, pad_cache, w, groups)
+
+
+def grouped_conv2d_backward(cache, gy: np.ndarray):
+    """Reference for tensorops.conv2d_backward: one einsum and one product per
+    group and tap."""
+    xp, pad_cache, w, groups = cache
+    kh, kw, cg, cout = w.shape
+    H, W, _ = gy.shape
+    cin = cg * groups
+    gi, go = cin // groups, cout // groups
+    gw = np.zeros(w.shape)
+    gxp = np.zeros_like(xp)
+    for g in range(groups):
+        xs = slice(g * gi, (g + 1) * gi)
+        ys = slice(g * go, (g + 1) * go)
+        gys = gy[:, :, ys]
+        for ki in range(kh):
+            for kj in range(kw):
+                patch = xp[ki:ki + H, kj:kj + W, xs]
+                gw[ki, kj, :, ys] = np.einsum("hwc,hwd->cd", patch, gys)
+                gxp[ki:ki + H, kj:kj + W, xs] += gys @ w[ki, kj, :, ys].T
+    gx = pad_reflect_backward(pad_cache, gxp)
+    return gx, gw, gy.sum(axis=(0, 1))
 
 
 def brute_recall(records, n, radius):

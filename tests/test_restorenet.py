@@ -218,6 +218,49 @@ class TestGradients:
                 assert abs(p.grad[idx] - num) < 1e-4 * max(1.0, abs(num)), p.name
 
 
+def _sha(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+class TestArithmeticPinned:
+    """sha256s of a seeded base-8 net's forward, backward and Adam steps: a
+    change to any op's floating-point operations or their order moves them.
+    They are the bits of this numpy and its BLAS on this CPU; another BLAS,
+    CPU or thread count can move last bits, as it can for the bench pins."""
+
+    def _net(self):
+        net = R.ResLPRNet(R.NetConfig(base_channels=8, attn_token_cap=256, seed=0))
+        return seeded_head(net, np.random.default_rng(20))
+
+    def test_forward_and_gradients_pinned(self):
+        rng = np.random.default_rng(21)
+        net = self._net()
+        y = net.forward_array(rng.random((32, 64, 2)))
+        net.zero_grad()
+        gx = net.backward_input(rng.normal(size=(32, 64, 2)))
+        params = net.params()
+        assert len(params) == 157
+        assert {"y": _sha([y]), "gx": _sha([gx]), "grads": _sha([p.grad for p in params])} == {
+            "y": "2119d764c800f24cb37099692d1ecd0f23f2a889fa83cd0878779b6fca14d4e7",
+            "gx": "634018211453794ff0215e95b6053eccaf95c9c3bd806fbda593eb5342b6900c",
+            "grads": "8300bbac9221a02a55f264ddbb3e3173ea4acad92f222fa475a69b162f935542",
+        }
+
+    def test_adam_steps_pinned(self):
+        # two epochs over two pairs: four steps
+        net = self._net()
+        pairs = train_pairs(np.random.default_rng(22), n=2, h=32, w=64)
+        curve = R.train(net, pairs, R.TrainOptions(lr=1e-3, epochs=2, patch=(32, 64), seed=3))
+        assert len(curve) == 4
+        assert {"curve": _sha([curve]), "params": _sha([p.value for p in net.params()])} == {
+            "curve": "5f79b1847813a56d9b91e8d66bf27e82e4a5a698efd342a1d592c28df1f2ce1d",
+            "params": "02efcdbd1d4ea283a0813262b734aa9952b3d64ce4799bc4d9ebbf15eeac24e9",
+        }
+
+
 class TestForward:
     def test_output_in_unit_interval_same_shape(self):
         rng = np.random.default_rng(11)

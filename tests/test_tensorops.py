@@ -5,7 +5,7 @@ import pytest
 
 from weatherlpr import tensorops as T
 
-from helpers import numeric_gradient, relative_error
+from helpers import grouped_conv2d, grouped_conv2d_backward, numeric_gradient, relative_error
 
 
 def check(analytic, f, x, tol=1e-6, step=1e-3):
@@ -27,6 +27,31 @@ class TestConv2d:
         check(gx, lambda v: np.sum(T.conv2d(v, w, b, groups=groups)[0] * proj), x)
         check(gw, lambda v: np.sum(T.conv2d(x, v, b, groups=groups)[0] * proj), w)
         check(gb, lambda v: np.sum(T.conv2d(x, w, v, groups=groups)[0] * proj), b)
+
+    # (H, W, Cin, Cout, groups, k): the grouped convolutions of the 64x1920
+    # restoration and of train-fog's 48x128 patches, an odd shape, 1x1 ungrouped
+    @pytest.mark.parametrize("shape", [
+        (32, 960, 32, 32, 16, 3), (16, 480, 64, 64, 32, 3), (8, 240, 128, 128, 64, 3),
+        (8, 240, 32, 32, 16, 3), (16, 480, 16, 16, 8, 3), (64, 1920, 8, 8, 4, 3),
+        (24, 64, 32, 32, 16, 3), (12, 32, 64, 64, 32, 3), (6, 16, 128, 128, 64, 3),
+        (6, 16, 32, 32, 16, 3), (12, 32, 16, 16, 8, 3), (48, 128, 8, 8, 4, 3),
+        (13, 29, 6, 6, 3, 3), (6, 16, 16, 32, 1, 1),
+    ], ids=str)
+    def test_bit_equal_to_per_group_products(self, shape):
+        # one block-diagonal product per tap adds exact zeros to each
+        # output's sum over input channels, so it keeps the per-group bits
+        H, W, cin, cout, groups, k = shape
+        rng = np.random.default_rng(cin + groups)
+        x = rng.normal(size=(H, W, cin))
+        w = rng.normal(size=(k, k, cin // groups, cout))
+        b = rng.normal(size=cout)
+        gy = rng.normal(size=(H, W, cout))
+        y, cache = T.conv2d(x, w, b, groups)
+        y_ref, cache_ref = grouped_conv2d(x, w, b, groups)
+        assert _bits_equal(y, y_ref)
+        for got, want in zip(T.conv2d_backward(cache, gy),
+                             grouped_conv2d_backward(cache_ref, gy)):
+            assert _bits_equal(got, want)
 
     def test_identity_kernel(self):
         rng = np.random.default_rng(2)
@@ -116,6 +141,13 @@ class TestSoftmaxInPlace:
         np.testing.assert_array_equal(x, x0)
         np.testing.assert_array_equal(gy, gy0)
         np.testing.assert_array_equal(y, y0)
+
+    def test_out_is_input_gives_the_same_bits(self):
+        x = _pointwise_input(14).reshape(-1, 8)
+        y, _ = T.softmax(x)
+        y_in, cache = T.softmax(x, out=x)
+        assert y_in is x and cache is x
+        assert _bits_equal(x, y)
 
 
 def _bits_equal(a, b):

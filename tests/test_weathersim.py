@@ -221,7 +221,11 @@ class TestAnnotations:
         ("scan 000000\nnoise 1\ndrop 4\n", 3),              # wrong line tag
         ("scan 000000\nnoise 1 two\ndropped\n", 2),         # non-integer index
         ("scan 000000\nnoise 99999999999999999999\ndropped\n", 2),  # past int64
-    ], ids=["cut-block", "wrong-tag", "non-integer", "huge-index"])
+        ("scan 000000\nnoise -1\ndropped\n", 2),          # sign: from the end
+        ("scan 000000\nnoise 1\ndropped +2\n", 3),        # sign
+        ("scan 000000\nnoise 0_3\ndropped\n", 2),         # digit separator
+    ], ids=["cut-block", "wrong-tag", "non-integer", "huge-index", "minus", "plus",
+            "underscore"])
     def test_malformed_sidecar_names_path_and_line(self, tmp_path, text, lineno):
         path = tmp_path / "ann.txt"
         path.write_text("scan 000009\nnoise \ndropped 3\n" + text)
