@@ -453,13 +453,24 @@ class Adam:
         self.v = [np.zeros_like(p.value) for p in params]
 
     def step(self):
+        """m, v and p in place, each operation in its textbook order (a * b is b * a)."""
         self.t += 1
-        for k, p in enumerate(self.params):
-            self.m[k] = ADAM_BETA1 * self.m[k] + (1 - ADAM_BETA1) * p.grad
-            self.v[k] = ADAM_BETA2 * self.v[k] + (1 - ADAM_BETA2) * p.grad ** 2
-            mhat = self.m[k] / (1 - ADAM_BETA1 ** self.t)
-            vhat = self.v[k] / (1 - ADAM_BETA2 ** self.t)
-            p.value -= self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+        c1, c2 = 1 - ADAM_BETA1 ** self.t, 1 - ADAM_BETA2 ** self.t
+        for p, m, v in zip(self.params, self.m, self.v):
+            step = np.multiply(p.grad, 1 - ADAM_BETA1)
+            m *= ADAM_BETA1
+            m += step
+            den = np.square(p.grad)
+            den *= 1 - ADAM_BETA2
+            v *= ADAM_BETA2
+            v += den
+            np.divide(v, c2, out=den)
+            np.sqrt(den, out=den)
+            den += ADAM_EPS
+            np.divide(m, c1, out=step)
+            step *= self.lr
+            step /= den
+            p.value -= step
 
 
 @dataclass(frozen=True)

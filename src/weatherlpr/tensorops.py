@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 EPS_NORM = 1e-5
 
@@ -40,8 +41,22 @@ def pad_reflect_backward(cache, gpad: np.ndarray) -> np.ndarray:
         return gpad
     shape, ih, iw = cache
     gx = np.zeros(shape, dtype=gpad.dtype)
-    np.add.at(gx, (ih[:, None], iw[None, :]), gpad)
+    if min(shape[:2]) == 1:
+        np.add.at(gx, (ih[:, None], iw[None, :]), gpad)
+        return gx
+    # np.add.at's order as slice adds: each target sums its sources by row
+    # phase (top, interior, bottom), and within one by column phase
+    for rt, rs in _reflect_phases(shape[0], (len(ih) - shape[0]) // 2):
+        for ct, cs in _reflect_phases(shape[1], (len(iw) - shape[1]) // 2):
+            gx[rt, ct] += gpad[rs, cs]
     return gx
+
+
+def _reflect_phases(n: int, pad: int):
+    """(target, source) slices of a reflect-padded axis of extent n >= 2;
+    at pad 0 the top and bottom phases are empty."""
+    return [(slice(pad, 0, -1), slice(0, pad)), (slice(0, n), slice(pad, pad + n)),
+            (slice(n - 1 - pad, n - 1), slice(2 * pad + n - 1, pad + n - 1, -1))]
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, groups: int = 1):
@@ -85,20 +100,15 @@ def conv2d_backward(cache, gy: np.ndarray):
     xp, pad_cache, w, groups = cache
     kh, kw, gi, cout = w.shape
     H, W, _ = gy.shape
-    go = cout // groups
-    gw = np.empty(w.shape)
-    gy4 = gy.reshape(H, W, groups, go)
+    windows = sliding_window_view(xp, (kh, kw), axis=(0, 1)).reshape(H, W, groups, gi, kh, kw)
+    gw = np.einsum("hwgcij,hwgd->ijcgd", windows, gy.reshape(H, W, groups, -1)).reshape(w.shape)
+    # the transposed view at groups == 1: a contiguous copy moves the 1x1 bits
+    wt = w.transpose(0, 1, 3, 2) if groups == 1 else np.ascontiguousarray(
+        _block_diagonal(w, groups).transpose(0, 1, 3, 2))
+    gxp = np.zeros_like(xp)
     for ki in range(kh):
         for kj in range(kw):
-            patch = xp[ki:ki + H, kj:kj + W].reshape(H, W, groups, gi)
-            gw[ki, kj] = np.einsum("hwgc,hwgd->cgd", patch, gy4).reshape(gi, cout)
-    gxp = np.zeros_like(xp)
-    for g in range(groups):
-        xs = slice(g * gi, (g + 1) * gi)
-        ys = slice(g * go, (g + 1) * go)
-        for ki in range(kh):
-            for kj in range(kw):
-                gxp[ki:ki + H, kj:kj + W, xs] += gy[:, :, ys] @ w[ki, kj, :, ys].T
+            gxp[ki:ki + H, kj:kj + W] += gy @ wt[ki, kj]
     gx = pad_reflect_backward(pad_cache, gxp)
     return gx, gw, gy.sum(axis=(0, 1))
 
@@ -153,26 +163,33 @@ def softmax(x: np.ndarray, out=None):
     return y, y
 
 
-def softmax_backward(cache, gy: np.ndarray):
+# logits per query tile: 2 MB of float64, inside a 4 MB L2. Part of the bit
+# contract: BLAS may pick another kernel for another tile, and move last bits
+ATTENTION_TILE = 1 << 18
+
+
+def softmax_backward(cache, gy: np.ndarray, out=None):
+    """Writes into ``out``, which may be ``gy`` itself, in blocks of rows of one
+    attention tile that stay in cache; no row's arithmetic depends on them."""
     y = cache
-    gx = gy * y
-    s = gx.sum(axis=-1, keepdims=True)
-    np.subtract(gy, s, out=gx)
-    gx *= y
+    gx = np.empty_like(gy) if out is None else out
+    rows = max(1, ATTENTION_TILE // y.shape[-1])
+    for i in range(0, len(y), rows):
+        yt, gt, ot = y[i:i + rows], gy[i:i + rows], gx[i:i + rows]
+        s = (gt * yt).sum(axis=-1, keepdims=True)
+        np.subtract(gt, s, out=ot)
+        ot *= yt
     return gx
-
-
-ATTENTION_TILE = 1 << 18  # logits per query tile: 2 MB of float64, inside a 4 MB L2
 
 
 def attention(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
               keep: bool = True):
     """softmax((q @ kt) / scale) @ v, computed one tile of query rows at a time.
 
-    q: (n, d); kt: (d, m); v: (m, dv) -> (n, dv). Every row goes through the
-    same arithmetic as the one-shot expression, so only the peak memory
-    depends on the tiling. The cache holds the (n, m) probabilities when
-    ``keep`` is set, for ``attention_backward``; otherwise it is None.
+    q: (n, d); kt: (d, m); v: (m, dv) -> (n, dv). The tiling sets the peak
+    memory and is part of the bit contract (see ``ATTENTION_TILE``). The
+    cache holds the (n, m) probabilities when ``keep`` is set, for
+    ``attention_backward``; otherwise it is None.
     """
     if q.shape[1] != kt.shape[0] or kt.shape[1] != v.shape[0]:
         raise ShapeError(f"attention got q {q.shape}, kt {kt.shape}, v {v.shape}")
@@ -181,13 +198,11 @@ def attention(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
     y = np.empty((n, v.shape[1]))
     p = np.empty((n, m)) if keep else None
     for i in range(0, n, rows):
-        pt = q[i:i + rows] @ kt
+        pt = np.matmul(q[i:i + rows], kt, out=p[i:i + rows] if keep else None)
         if scale != 1.0:  # x / 1.0 is x
             pt /= scale
         softmax(pt, out=pt)
         np.matmul(pt, v, out=y[i:i + rows])
-        if keep:
-            p[i:i + rows] = pt
     return y, ((p, v) if keep else None)
 
 
@@ -200,7 +215,8 @@ def attention_backward(cache, gy: np.ndarray):
                            "no backward can follow it")
     p, v = cache
     gv = p.T @ gy
-    return softmax_backward(p, gy @ v.T), gv
+    g = gy @ v.T
+    return softmax_backward(p, g, out=g), gv
 
 
 def moment_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, axes):
@@ -269,7 +285,19 @@ def gelu(x: np.ndarray, keep: bool = True):
 
 
 def gelu_backward(cache, gy: np.ndarray):
+    """gy * dy for dy = 0.5 (1 + t) + 0.5 x (1 - t^2) k (1 + 3 * 0.044715 x^2),
+    in two buffers, each operation in that order (a * b is b * a)."""
     x, t = cache
-    dinner = _GELU_K * (1.0 + 3 * 0.044715 * x ** 2)
-    dy = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * dinner
-    return gy * dy
+    dinner = np.square(x)
+    dinner *= 3 * 0.044715
+    dinner += 1.0
+    dinner *= _GELU_K
+    dy = np.square(t)
+    np.subtract(1.0, dy, out=dy)
+    dy *= 0.5 * x
+    dy *= dinner
+    np.add(t, 1.0, out=dinner)
+    dinner *= 0.5
+    dy += dinner
+    dy *= gy
+    return dy

@@ -1,6 +1,7 @@
 """Test-only helpers: the central-difference gradient checker, loop-based
-Recall@N and AUC/F1 oracles, the per-group convolution reference, and a
-writer that puts a synthetic world on disk as scan files and pose files."""
+Recall@N and AUC/F1 oracles, the per-group convolution and np.add.at padding
+references, and a writer that puts a synthetic world on disk as scan files
+and pose files."""
 import math
 import os
 
@@ -8,7 +9,7 @@ import numpy as np
 
 from weatherlpr.bench import SyntheticWorld, write_pose_file
 from weatherlpr.pointcloud import write_scan
-from weatherlpr.tensorops import pad_reflect, pad_reflect_backward
+from weatherlpr.tensorops import pad_reflect
 
 
 def numeric_gradient(f, x: np.ndarray, step: float = 1e-3) -> np.ndarray:
@@ -54,9 +55,21 @@ def grouped_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, groups: int = 1)
     return y, (xp, pad_cache, w, groups)
 
 
+def pad_reflect_backward_add_at(cache, gpad: np.ndarray) -> np.ndarray:
+    """Reference for tensorops.pad_reflect_backward: np.add.at adds each
+    padded element, in C order, into zeros at its source index."""
+    if cache is None:
+        return gpad
+    shape, ih, iw = cache
+    gx = np.zeros(shape, dtype=gpad.dtype)
+    np.add.at(gx, (ih[:, None], iw[None, :]), gpad)
+    return gx
+
+
 def grouped_conv2d_backward(cache, gy: np.ndarray):
-    """Reference for tensorops.conv2d_backward: one einsum and one product per
-    group and tap."""
+    """Reference for tensorops.conv2d_backward, sharing none of its code: one
+    einsum and one product per group and tap, each over that group's
+    channels, then pad_reflect_backward_add_at."""
     xp, pad_cache, w, groups = cache
     kh, kw, cg, cout = w.shape
     H, W, _ = gy.shape
@@ -73,7 +86,7 @@ def grouped_conv2d_backward(cache, gy: np.ndarray):
                 patch = xp[ki:ki + H, kj:kj + W, xs]
                 gw[ki, kj, :, ys] = np.einsum("hwc,hwd->cd", patch, gys)
                 gxp[ki:ki + H, kj:kj + W, xs] += gys @ w[ki, kj, :, ys].T
-    gx = pad_reflect_backward(pad_cache, gxp)
+    gx = pad_reflect_backward_add_at(pad_cache, gxp)
     return gx, gw, gy.sum(axis=(0, 1))
 
 

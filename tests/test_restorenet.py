@@ -249,6 +249,27 @@ class TestArithmeticPinned:
             "grads": "8300bbac9221a02a55f264ddbb3e3173ea4acad92f222fa475a69b162f935542",
         }
 
+    def test_training_shape_pinned(self):
+        # criterion 9's 48x128 patches: OpenBLAS picks its kernels by shape,
+        # so the 32x64 pins alone do not hold this shape's bits
+        rng = np.random.default_rng(23)
+        net = self._net()
+        y = net.forward_array(rng.random((48, 128, 2)))
+        net.zero_grad()
+        gx = net.backward_input(rng.normal(size=(48, 128, 2)))
+        params = net.params()
+        grads = _sha([p.grad for p in params])
+        optimizer = R.Adam(params, lr=1e-3)
+        optimizer.step()
+        optimizer.step()
+        assert {"y": _sha([y]), "gx": _sha([gx]), "grads": grads,
+                "params": _sha([p.value for p in params])} == {
+            "y": "bf177c839d50a8e3acbfff7fe8bdb958002e2d7abad1b765bf2e94d37088e3aa",
+            "gx": "e9188c675a15dbd7ce62c71dd77c89a9f7f4b064cd3de7179ae1766dd32c539e",
+            "grads": "6618f61cca01cd5b90f521eb6e4270469485c0c203673b5bbe9bff33fc496058",
+            "params": "cad8d2faa7053718b3c21fff9151c0082b4c09e69a542b52c9986593f7210d2d",
+        }
+
     def test_adam_steps_pinned(self):
         # two epochs over two pairs: four steps
         net = self._net()

@@ -5,7 +5,8 @@ import pytest
 
 from weatherlpr import tensorops as T
 
-from helpers import grouped_conv2d, grouped_conv2d_backward, numeric_gradient, relative_error
+from helpers import (grouped_conv2d, grouped_conv2d_backward, numeric_gradient,
+                     pad_reflect_backward_add_at, relative_error)
 
 
 def check(analytic, f, x, tol=1e-6, step=1e-3):
@@ -68,6 +69,22 @@ class TestConv2d:
         y, _ = T.conv2d(x, w, np.zeros(1))
         padded = np.pad(x[..., 0], 1, mode="reflect")
         assert y[0, 0, 0] == pytest.approx(padded[0:3, 0:3].mean())
+
+
+class TestPadReflect:
+    @pytest.mark.parametrize("pads", [(1, 1), (0, 1), (1, 0)], ids=str)
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    @pytest.mark.parametrize("w", [1, 2, 3])
+    def test_backward_bit_equal_to_add_at(self, h, w, pads):
+        # slice adds in np.add.at's order keep its bits, the sign of a sum
+        # of zeros included: 0.0 + -0.0 is 0.0
+        rng = np.random.default_rng(10 * h + w)
+        xp, cache = T.pad_reflect(rng.normal(size=(h, w, 3)), *pads)
+        gpad = rng.normal(size=xp.shape)
+        gpad[rng.random(xp.shape) < 0.3] = -0.0
+        gpad[pads] = -0.0  # gx[0, 0]'s one source when both extents are > 1
+        assert _bits_equal(T.pad_reflect_backward(cache, gpad),
+                           pad_reflect_backward_add_at(cache, gpad))
 
 
 class TestConvTranspose:
@@ -148,6 +165,18 @@ class TestSoftmaxInPlace:
         y_in, cache = T.softmax(x, out=x)
         assert y_in is x and cache is x
         assert _bits_equal(x, y)
+
+    def test_backward_in_blocks_gives_the_one_shot_bits(self):
+        # three full blocks of rows and a ragged one, into a new array and
+        # into the gradient itself, against (gy - sum(gy * y)) * y in one go
+        rng = np.random.default_rng(15)
+        m = 256
+        y, _ = T.softmax(rng.normal(size=(3 * (T.ATTENTION_TILE // m) + 100, m)))
+        gy = rng.normal(size=y.shape)
+        want = (gy - (gy * y).sum(axis=-1, keepdims=True)) * y
+        assert _bits_equal(T.softmax_backward(y, gy), want)
+        got = T.softmax_backward(y, gy, out=gy)
+        assert got is gy and _bits_equal(got, want)
 
 
 def _bits_equal(a, b):
