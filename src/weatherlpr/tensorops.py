@@ -170,10 +170,11 @@ ATTENTION_TILE = 1 << 18
 
 def softmax_backward(cache, gy: np.ndarray, out=None):
     """Writes into ``out``, which may be ``gy`` itself, in blocks of rows of one
-    attention tile that stay in cache; no row's arithmetic depends on them."""
+    attention tile that stay in cache; no row's arithmetic depends on them.
+    A 1-D softmax is one row, so it is one block whatever its length."""
     y = cache
     gx = np.empty_like(gy) if out is None else out
-    rows = max(1, ATTENTION_TILE // y.shape[-1])
+    rows = len(y) if y.ndim == 1 else max(1, ATTENTION_TILE // y.shape[-1])
     for i in range(0, len(y), rows):
         yt, gt, ot = y[i:i + rows], gy[i:i + rows], gx[i:i + rows]
         s = (gt * yt).sum(axis=-1, keepdims=True)

@@ -178,6 +178,18 @@ class TestSoftmaxInPlace:
         got = T.softmax_backward(y, gy, out=gy)
         assert got is gy and _bits_equal(got, want)
 
+    def test_backward_of_a_long_1d_softmax_is_one_row(self):
+        # a 1-D softmax longer than one tile's row count (the context guide's
+        # probabilities at a large n_contexts) must not be split into blocks
+        rng = np.random.default_rng(16)
+        y, _ = T.softmax(rng.normal(size=3 * 1024 + 7))
+        assert len(y) > T.ATTENTION_TILE // len(y)
+        gy = rng.normal(size=y.shape)
+        want = (gy - (gy * y).sum()) * y
+        assert _bits_equal(T.softmax_backward(y, gy), want)
+        got = T.softmax_backward(y, gy, out=gy)
+        assert got is gy and _bits_equal(got, want)
+
 
 def _bits_equal(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
