@@ -166,26 +166,17 @@ class TestSoftmaxInPlace:
         assert y_in is x and cache is x
         assert _bits_equal(x, y)
 
-    def test_backward_in_blocks_gives_the_one_shot_bits(self):
-        # three full blocks of rows and a ragged one, into a new array and
-        # into the gradient itself, against (gy - sum(gy * y)) * y in one go
+    @pytest.mark.parametrize("shape", [(3 * (T.ATTENTION_TILE // 256) + 100, 256),
+                                       (3 * 1024 + 7,)], ids=["rows", "1d"])
+    def test_backward_in_blocks_gives_the_one_shot_bits(self, shape):
+        # rows: three full blocks of rows and a ragged one; 1d: one softmax
+        # longer than a tile's row count (the context guide's probabilities
+        # at a large n_contexts), which must stay one block. Into a new array
+        # and into the gradient itself, against (gy - sum(gy * y)) * y
         rng = np.random.default_rng(15)
-        m = 256
-        y, _ = T.softmax(rng.normal(size=(3 * (T.ATTENTION_TILE // m) + 100, m)))
+        y, _ = T.softmax(rng.normal(size=shape))
         gy = rng.normal(size=y.shape)
         want = (gy - (gy * y).sum(axis=-1, keepdims=True)) * y
-        assert _bits_equal(T.softmax_backward(y, gy), want)
-        got = T.softmax_backward(y, gy, out=gy)
-        assert got is gy and _bits_equal(got, want)
-
-    def test_backward_of_a_long_1d_softmax_is_one_row(self):
-        # a 1-D softmax longer than one tile's row count (the context guide's
-        # probabilities at a large n_contexts) must not be split into blocks
-        rng = np.random.default_rng(16)
-        y, _ = T.softmax(rng.normal(size=3 * 1024 + 7))
-        assert len(y) > T.ATTENTION_TILE // len(y)
-        gy = rng.normal(size=y.shape)
-        want = (gy - (gy * y).sum()) * y
         assert _bits_equal(T.softmax_backward(y, gy), want)
         got = T.softmax_backward(y, gy, out=gy)
         assert got is gy and _bits_equal(got, want)
