@@ -168,7 +168,9 @@ class TransformerFuse:
         if fw.shape != fc.shape:
             raise ValueError(f"fuse inputs differ: {fw.shape} vs {fc.shape}")
         fatt = self.norm.forward(self._attend(fw, fc, keep), keep)
-        hact, gcache = ops.gelu(self.ff1.forward(fatt, keep), keep=keep)
+        h = self.ff1.forward(fatt, keep)
+        # at inference no layer caches h, so GELU overwrites it
+        hact, gcache = ops.gelu(h, keep=keep, out=None if keep else h)
         out = self.ff2.forward(hact, keep)
         out += fatt
         self._gelu_cache = gcache

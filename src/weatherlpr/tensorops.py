@@ -265,24 +265,48 @@ def gap_backward(cache, gy: np.ndarray):
 
 
 _GELU_K = math.sqrt(2.0 / math.pi)
+# inference GELU elements per block: 256 KB of float64 scratch, inside L2.
+# Each element's operations do not depend on the blocking, so no bit does
+GELU_BLOCK = 1 << 15
 
 
-def gelu(x: np.ndarray, keep: bool = True):
-    """0.5 x (1 + tanh(k (x + 0.044715 x^3))), built in one buffer. The cache
-    is (x, tanh) when ``keep`` is set, for ``gelu_backward``; otherwise it is
-    None and the tanh buffer becomes the output."""
-    t = x ** 3
-    t *= 0.044715
-    t += x
-    t *= _GELU_K
-    np.tanh(t, out=t)
+def gelu(x: np.ndarray, keep: bool = True, out=None):
+    """0.5 x (1 + tanh(k (x + 0.044715 x^3))). With ``keep`` set it is built
+    in one full-size buffer and the cache is (x, tanh), for ``gelu_backward``.
+    Otherwise the cache is None and the same operations, in the same order,
+    run on one scratch buffer of at most ``GELU_BLOCK`` elements at a time,
+    whose results go into ``out``: a C-contiguous array of x's shape, which
+    may be ``x`` itself. Without it, x is left unmodified and only the
+    output is allocated."""
     if keep:
+        if out is not None:
+            raise ValueError("gelu writes into out only when keep is off")
+        t = x ** 3
+        t *= 0.044715
+        t += x
+        t *= _GELU_K
+        np.tanh(t, out=t)
         y = 0.5 * x
         y *= 1.0 + t
         return y, (x, t)
-    t += 1.0
-    t *= 0.5 * x
-    return t, None
+    if out is None:
+        out = np.empty(x.shape, x.dtype)
+    elif out.shape != x.shape or not out.flags.c_contiguous:
+        raise ShapeError(f"gelu out must be a C-contiguous {x.shape} array, got {out.shape}")
+    xs, ys = x.reshape(-1), out.reshape(-1)
+    scratch = np.empty(min(GELU_BLOCK, xs.size), x.dtype)
+    for i in range(0, xs.size, GELU_BLOCK):
+        xb, yb = xs[i:i + GELU_BLOCK], ys[i:i + GELU_BLOCK]
+        t = scratch[:len(xb)]
+        np.power(xb, 3, out=t)
+        t *= 0.044715
+        t += xb
+        t *= _GELU_K
+        np.tanh(t, out=t)
+        t += 1.0
+        np.multiply(0.5, xb, out=yb)  # t * (0.5 x) is (0.5 x) * t
+        yb *= t
+    return out, None
 
 
 def gelu_backward(cache, gy: np.ndarray):

@@ -210,6 +210,28 @@ class TestBuffersReused:
         else:
             assert cache is None
 
+    @pytest.mark.parametrize("size", [1, T.GELU_BLOCK - 1, T.GELU_BLOCK,
+                                      T.GELU_BLOCK + 1, 3 * T.GELU_BLOCK + 17])
+    def test_gelu_blocks_bit_equal_to_expression(self, size):
+        # whole, ragged and single-element blocks of signed zeros, negatives
+        # and |x| > 10, written into a new array or into x itself
+        rng = np.random.default_rng(34)
+        x = rng.normal(size=size) * rng.choice([0.1, 1.0, 4.0, 15.0], size=size)
+        x[::13], x[1::13] = 0.0, -0.0
+        t_ref = np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x ** 3))
+        y_ref = 0.5 * x * (1.0 + t_ref)
+        y, cache = T.gelu(x, keep=False)
+        assert y is not x and cache is None and _bits_equal(y, y_ref)
+        y, _ = T.gelu(x, keep=False, out=x)
+        assert y is x and _bits_equal(x, y_ref)
+
+    def test_gelu_out_must_fit(self):
+        x = np.ones((4, 6))
+        with pytest.raises(T.ShapeError):
+            T.gelu(x, keep=False, out=np.empty((6, 4)).T)
+        with pytest.raises(ValueError):
+            T.gelu(x, keep=True, out=x)
+
     @pytest.mark.parametrize("axes", [(-1,), (0, 1)])
     def test_moment_norm_bit_equal_to_expression(self, axes):
         rng = np.random.default_rng(31)
